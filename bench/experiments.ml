@@ -1171,7 +1171,7 @@ let hot_path ~smoke () =
   let sanitized_words = minor_words_per ~n sanitized_send in
 
   (* --- micro: the pooled send again with a race-checker access hook on
-     the path, monitor disarmed (the default everywhere outside @race).
+     the path, monitor disarmed (the default everywhere outside @check).
      The guard row: unarmed hooks must cost the same as no hooks. --- *)
   let gsched = Ntcs_sim.Sched.create () in
   let gcell =

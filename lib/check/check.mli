@@ -1,5 +1,5 @@
-(** ntcs_check driver: protocol-conformance static analyses plus the
-    schedule-exploration harness. *)
+(** ntcs_check driver: protocol-conformance static analyses plus the one
+    schedule-exploration pass over {!Check_scenarios.registry}. *)
 
 val check_sources : Lint_lex.source list -> Lint_diag.t list
 (** Automaton self-check + {!Check_proto} + {!Check_graph}, sorted. *)
@@ -10,33 +10,21 @@ val static_check : string list -> Lint_diag.t list
 val report : Format.formatter -> Lint_diag.t list -> unit
 
 type exploration = {
-  x_scenario : string;
+  x_scenario : Check_scenarios.scenario;
   x_outcome : Ntcs_sim.Explore.outcome;
 }
 
-val explore_all :
-  ?max_schedules:int -> ?sanitize:bool -> ?races:bool -> unit -> exploration list
-(** Run every bounded scenario under exhaustive exploration. [sanitize]
-    arms the pool sanitizer, [races] the happens-before race checker, on
-    every scenario world (see {!Check_scenarios.Mode}); both default off. *)
+val armed : Ntcs_sim.Sched.Mode.t
+(** Pool sanitizer and race checker both on — the mode {!explore} runs. *)
 
-val exploration_failed : exploration -> bool
-(** Truncated (budget exhausted) or any schedule violated an invariant. *)
+val explore : unit -> exploration list
+(** Explore every registered scenario once, under {!armed}: an [Exhaustive]
+    scenario capped at 4000 schedules, a [Soak] at a budget of 150. *)
 
-val explore_faults :
-  ?max_schedules:int -> ?sanitize:bool -> ?races:bool -> unit -> exploration list
-(** Run the {!Check_scenarios.faults} soaks under a schedule budget,
-    optionally with the pool sanitizer and/or race checker armed. *)
-
-val explore_naming :
-  ?max_schedules:int -> ?sanitize:bool -> ?races:bool -> unit -> exploration list
-(** Run the {!Check_scenarios.naming} sharded-naming scenarios under a
-    schedule budget — same soak contract as {!explore_faults}. *)
-
-val fault_exploration_failed : ?min_schedules:int -> exploration -> bool
-(** The soak contract: any violation fails; truncation is acceptable but
-    only past [min_schedules] (default 100) failure-free schedules. *)
+val failed : exploration -> bool
+(** The exploration broke its scenario's contract: any violation; for an
+    [Exhaustive] scenario, truncation or fewer than two schedules; for a
+    [Soak], truncation before 100 schedules. *)
 
 val report_exploration : Format.formatter -> exploration -> unit
-
 val exploration_to_json : exploration list -> string

@@ -1,9 +1,8 @@
 (* Domain-parallel validation: the dynamic evidence behind DESIGN.md §14.
 
-   Two harnesses, both consumed by `ntcs_check --par N`, the `@par` dune
-   alias and test/test_par.ml:
+   Two harnesses, both driven by test/test_par.ml:
 
-   - [replicate]: run each bounded scenario once solo, then again on N
+   - [replicate]: run a registered scenario once solo, then again on N
      real OCaml domains at once — every replica builds its own world from
      the same seed, so every replica's trace must be byte-identical to the
      solo run and violation-free. This is the shard-isolation claim (a
@@ -18,7 +17,6 @@
      shard, and once more under a recording chooser whose per-shard choice
      logs must replay to the same bytes via [World.Config.Replay]. *)
 
-module Mode = Ntcs_sim.Sched.Mode
 module World = Ntcs_sim.World
 module Config = Ntcs_sim.World.Config
 module Par = Ntcs_sim.World.Par
@@ -26,15 +24,9 @@ module Span = Ntcs_obs.Span
 
 (* --- scenario replication on domains -------------------------------- *)
 
-let scenario_run sc =
-  let w, body = sc.Check_scenarios.sc_make Mode.default in
-  let violations = body () in
-  let trace = Format.asprintf "%a" Ntcs_sim.Trace.dump (World.trace w) in
-  (trace, violations)
+let scenario_run = Check_scenarios.default_schedule Ntcs_sim.Sched.Mode.default
 
 type replication = {
-  rp_scenario : string;
-  rp_replicas : int;
   rp_violations : string list; (* the solo run's own violations *)
   rp_divergent : int list; (* replica indices whose run differed *)
 }
@@ -51,24 +43,9 @@ let replicate ?(replicas = 2) sc =
       if trace <> solo_trace || violations <> solo_violations then
         divergent := i :: !divergent)
     doms;
-  {
-    rp_scenario = sc.Check_scenarios.sc_name;
-    rp_replicas = replicas;
-    rp_violations = solo_violations;
-    rp_divergent = List.rev !divergent;
-  }
+  { rp_violations = solo_violations; rp_divergent = List.rev !divergent }
 
 let replication_failed r = r.rp_violations <> [] || r.rp_divergent <> []
-
-let report_replication ppf r =
-  Format.fprintf ppf "%s: %d replica(s) on domains: %s@." r.rp_scenario
-    r.rp_replicas
-    (if replication_failed r then "DIVERGED" else "byte-identical, clean");
-  List.iter
-    (fun i -> Format.fprintf ppf "%s: replica %d diverged from the solo run@." r.rp_scenario i)
-    r.rp_divergent;
-  List.iter (fun v -> Format.fprintf ppf "%s: solo violation: %s@." r.rp_scenario v)
-    r.rp_violations
 
 (* --- the coupled soak workload --------------------------------------- *)
 
@@ -153,12 +130,7 @@ let snapshot p =
   (Par.merged_trace_lines p, spans, Par.blocked_processes p)
 
 type par_report = {
-  pr_domains : int;
-  pr_workers : int list;
   pr_epochs : int;
-  pr_messages : int;
-  pr_trace_lines : int;
-  pr_span_events : int;
   pr_choices : int; (* chooser consultations recorded in the replay pass *)
   pr_blocked : string list;
   pr_race_conflicts : int;
@@ -231,33 +203,10 @@ let par_soak ?(domains = 2) ?(workers = [ 1; 2; 4 ]) ?(seed = 42) () =
     total
   in
   {
-    pr_domains = domains;
-    pr_workers = workers;
     pr_epochs = Par.epochs ref_p;
-    pr_messages = Par.messages_exchanged ref_p;
-    pr_trace_lines = List.length ref_lines;
-    pr_span_events = List.length ref_spans;
     pr_choices = choices;
     pr_blocked = ref_blocked;
     pr_race_conflicts = List.length race_conflicts;
     pr_span_violations = Check_spans.check (Par.merged_spans ref_p);
     pr_divergences = List.rev !divergences;
   }
-
-let par_soak_failed r =
-  r.pr_divergences <> [] || r.pr_span_violations <> [] || r.pr_race_conflicts > 0
-
-let report_par ppf r =
-  Format.fprintf ppf
-    "par soak: %d shard(s), workers {%s}: %s (%d epochs, %d cross-shard msgs, \
-     %d trace lines, %d span events, %d choices replayed)@."
-    r.pr_domains
-    (String.concat "," (List.map string_of_int r.pr_workers))
-    (if par_soak_failed r then "FAILED" else "bit-identical, clean")
-    r.pr_epochs r.pr_messages r.pr_trace_lines r.pr_span_events r.pr_choices;
-  List.iter (fun d -> Format.fprintf ppf "par soak: %s@." d) r.pr_divergences;
-  List.iter
-    (fun v -> Format.fprintf ppf "par soak: span violation: %a@." Lint_trace.pp_violation v)
-    r.pr_span_violations;
-  if r.pr_race_conflicts > 0 then
-    Format.fprintf ppf "par soak: %d race conflict(s)@." r.pr_race_conflicts

@@ -1,22 +1,17 @@
 (** Domain-parallel validation (DESIGN.md §14): scenario replication on
     real OCaml domains, and a coupled multi-shard barrier soak whose
     merged trace, span log and blocked-process report must stay
-    byte-identical for every worker count. Driven by [ntcs_check --par N],
-    the [@par] dune alias and [test/test_par.ml]. *)
-
-module Mode = Ntcs_sim.Sched.Mode
+    byte-identical for every worker count. Driven by [test/test_par.ml]. *)
 
 (** {1 Scenario replication}
 
-    Each bounded scenario builds its whole world from a seed, so N
+    Each registered scenario builds its whole world from a seed, so N
     replicas running concurrently on N domains must each produce a trace
     byte-identical to the solo run and report zero violations — the
     shard-isolation claim of the parallel world model, exercised with
     actual preemptive parallelism. *)
 
 type replication = {
-  rp_scenario : string;
-  rp_replicas : int;
   rp_violations : string list;  (** the solo run's own violations *)
   rp_divergent : int list;  (** replica indices whose run differed *)
 }
@@ -27,17 +22,11 @@ val replicate : ?replicas:int -> Check_scenarios.scenario -> replication
     the solo run's. *)
 
 val replication_failed : replication -> bool
-val report_replication : Format.formatter -> replication -> unit
 
 (** {1 Coupled barrier soak} *)
 
 type par_report = {
-  pr_domains : int;
-  pr_workers : int list;
   pr_epochs : int;
-  pr_messages : int;  (** cross-shard messages exchanged *)
-  pr_trace_lines : int;
-  pr_span_events : int;
   pr_choices : int;  (** chooser consultations replayed in the replay pass *)
   pr_blocked : string list;  (** the shard-stable teardown report *)
   pr_race_conflicts : int;
@@ -55,5 +44,3 @@ val par_soak : ?domains:int -> ?workers:int list -> ?seed:int -> unit -> par_rep
     choice logs replay to the same bytes via
     {!Ntcs_sim.World.Config.Replay}. *)
 
-val par_soak_failed : par_report -> bool
-val report_par : Format.formatter -> par_report -> unit

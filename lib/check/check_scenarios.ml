@@ -1,32 +1,39 @@
-(* Bounded scenarios for exhaustive schedule exploration.
+(* The scenario registry: every bounded exchange ntcs_check explores.
 
    Each scenario builds a small cluster from scratch (Explore reruns it once
    per schedule), drives one protocol exchange to completion, and reports
-   every invariant violation observable from that schedule:
+   how that exchange ended — the outcome the protocol promises on *every*
+   schedule, not just the default one. [instantiate] appends the shared
+   monitors to that report:
 
    - the R3 trace invariants (no gateway peering, bounded recursion, no
-     identity conversion) from the PR 1 linter;
+     identity conversion) from the linter;
    - the circuit-lifecycle automaton over the same trace (Check_lifecycle);
-   - simulated process crashes;
-   - the scenario's own outcome (the exchange must end the way the protocol
-     promises, on *every* schedule, not just the default one).
+   - simulated process crashes, unless the scenario expects them;
+   - the causal span invariants (Check_spans);
+   - lookup-cache coherence (Check_naming);
+   - the pool sanitizer and the happens-before race checker, when the mode
+     arms them.
 
-   first_send crosses a prime gateway so chained opens, splices and
-   forwards — the interesting lifecycle traffic — actually occur. break_ns
-   is the §6.3 pathology under the LCM guard: partition the name server
-   mid-run and insist the fault stays bounded on every interleaving. *)
+   Each scenario declares its exploration contract: the two [Exhaustive]
+   ones (first_send across a prime gateway, break_ns — the §6.3 pathology
+   under the LCM guard) must drain their whole tree; the [Soak]s run under
+   an armed fault plane or the sharded naming plane, whose trees are
+   effectively unbounded, and must instead log enough clean schedules. *)
 
 open Ntcs
 
-(* The instrumentation mode is the scheduler's own canonical record now
-   (PR 8) — this harness used to carry its own {m_sanitize; m_races}
-   copy. Still threaded explicitly through every scenario build: a
-   module-level flag here would itself be ambient shared state, exactly
-   what R8 forbids. *)
+(* Threaded explicitly through every scenario build: a module-level flag
+   here would be ambient shared state, exactly what R8 forbids. *)
 module Mode = Ntcs_sim.Sched.Mode
+
+type contract = Exhaustive | Soak
 
 type scenario = {
   sc_name : string;
+  sc_contract : contract;
+  sc_crashes_expected : bool;
+  sc_recursion_limit : int option;
   sc_from : int;
   sc_until : int;
       (* [sc_from, sc_until): the virtual-time window whose ties are
@@ -38,6 +45,18 @@ type scenario = {
          finite. *)
   sc_make : Mode.t -> Ntcs_sim.World.t * (unit -> string list);
 }
+
+let scenario ?(contract = Soak) ?(crashes_expected = false) ?recursion_limit ~name ~from
+    ~until make =
+  {
+    sc_name = name;
+    sc_contract = contract;
+    sc_crashes_expected = crashes_expected;
+    sc_recursion_limit = recursion_limit;
+    sc_from = from;
+    sc_until = until;
+    sc_make = make;
+  }
 
 (* The world configuration a mode asks for: sanitizer armed declaratively
    at creation (before any hand-out), fault plane likewise. [races] rides
@@ -82,66 +101,55 @@ let built (mode : Mode.t) c =
   if mode.Mode.races then ignore (Check_race.arm (Cluster.world c));
   c
 
-(* Pool-sanitizer soak mode (`ntcs_check --sanitize` / `@sanitize`): fail
-   the schedule on any aliasing violation (poison, double release, foreign
-   release, rejected release). Leaks are *reported* (as
-   pool.sanitizer.leak trace events) but are not failures: when virtual
-   time stops, crashed machines and undrained in-flight segments
-   legitimately still hold buffers. *)
-let sanitizer_violations (mode : Mode.t) c =
-  if not mode.Mode.sanitize then []
-  else begin
-    ignore (Ntcs_sim.World.pool_leak_check (Cluster.world c));
-    List.concat_map
-      (fun (name, what) ->
-        let n = Ntcs_util.Metrics.get (Cluster.metrics c) name in
-        if n > 0 then [ Printf.sprintf "pool sanitizer: %d %s" n what ] else [])
-      [
-        ("pool.sanitizer.poison", "buffer(s) written through a stale view");
-        ("pool.sanitizer.double_release", "double release(s)");
-        ("pool.sanitizer.foreign_release", "foreign release(s)");
-        ("pool.bad_release", "rejected release(s)");
-      ]
-  end
+(* Pool sanitizer: fail the schedule on any aliasing violation (poison,
+   double release, foreign release, rejected release). Leaks are
+   *reported* (as pool.sanitizer.leak trace events) but are not failures:
+   when virtual time stops, crashed machines and undrained in-flight
+   segments legitimately still hold buffers. *)
+let sanitizer_violations w =
+  ignore (Ntcs_sim.World.pool_leak_check w);
+  List.concat_map
+    (fun (name, what) ->
+      let n = Ntcs_util.Metrics.get (Ntcs_sim.World.metrics w) name in
+      if n > 0 then [ Printf.sprintf "pool sanitizer: %d %s" n what ] else [])
+    [
+      ("pool.sanitizer.poison", "buffer(s) written through a stale view");
+      ("pool.sanitizer.double_release", "double release(s)");
+      ("pool.sanitizer.foreign_release", "foreign release(s)");
+      ("pool.bad_release", "rejected release(s)");
+    ]
 
-(* Race soak mode (`ntcs_check --races` / `@race`): any conflicting access
-   pair the happens-before checker could not order fails the schedule. The
-   checker already deduplicates (one finding per cell/owner/kind pattern)
-   and emits each as a race.conflict trace event, so the trace is the
-   report. *)
-let race_violations (mode : Mode.t) c =
-  if not mode.Mode.races then []
-  else
+(* The shared monitors, run over a finished schedule. Race findings need
+   no extra pass: the checker deduplicates (one finding per
+   cell/owner/kind pattern) and emits each as a race.conflict trace event,
+   so the trace is the report. *)
+let monitor_violations sc (mode : Mode.t) w =
+  let trace = Ntcs_sim.World.trace w in
+  let entries = Ntcs_sim.Trace.entries trace in
+  let matching cat what =
     List.map
-      (fun (e : Ntcs_sim.Trace.entry) -> Printf.sprintf "race: %s" e.detail)
-      (Ntcs_sim.Trace.matching (Ntcs_sim.World.trace (Cluster.world c)) ~cat:"race.conflict")
+      (fun (e : Ntcs_sim.Trace.entry) -> Printf.sprintf "%s: %s" what e.detail)
+      (Ntcs_sim.Trace.matching trace ~cat)
+  in
+  let pp vs = List.map (fun v -> Format.asprintf "%a" Lint_trace.pp_violation v) vs in
+  pp (Lint_trace.check_all ?recursion_limit:sc.sc_recursion_limit entries)
+  @ pp (Check_lifecycle.check entries)
+  @ (if sc.sc_crashes_expected then [] else matching "sim.proc_crash" "process crashed")
+  @ pp (Check_spans.check (Ntcs_obs.Registry.spans (Ntcs_sim.World.obs w)))
+  @ Check_naming.check entries
+  @ (if mode.Mode.sanitize then sanitizer_violations w else [])
+  @ if mode.Mode.races then matching "race.conflict" "race" else []
 
-(* Everything checkable after a schedule ran. *)
-let trace_violations ?recursion_limit mode c =
-  let entries = Ntcs_sim.Trace.entries (Ntcs_sim.World.trace (Cluster.world c)) in
-  let r3 =
-    List.map
-      (fun v -> Format.asprintf "%a" Lint_trace.pp_violation v)
-      (Lint_trace.check_all ?recursion_limit entries)
-  in
-  let lifecycle =
-    List.map
-      (fun v -> Format.asprintf "%a" Lint_trace.pp_violation v)
-      (Check_lifecycle.check entries)
-  in
-  let crashes =
-    List.map
-      (fun (e : Ntcs_sim.Trace.entry) -> Printf.sprintf "process crashed: %s" e.detail)
-      (Ntcs_sim.Trace.matching (Ntcs_sim.World.trace (Cluster.world c)) ~cat:"sim.proc_crash")
-  in
-  let spans =
-    List.map
-      (fun v -> Format.asprintf "%a" Lint_trace.pp_violation v)
-      (Check_spans.check (Ntcs_obs.Registry.spans (Cluster.metrics c)))
-  in
-  let naming = Check_naming.check entries in
-  r3 @ lifecycle @ crashes @ spans @ naming @ sanitizer_violations mode c
-  @ race_violations mode c
+let instantiate mode sc =
+  let w, body = sc.sc_make mode in
+  (w, fun () ->
+        let own = body () in
+        own @ monitor_violations sc mode w)
+
+let default_schedule mode sc =
+  let w, body = instantiate mode sc in
+  let violations = body () in
+  (Format.asprintf "%a" Ntcs_sim.Trace.dump (Ntcs_sim.World.trace w), violations)
 
 (* §6.1 first send, across a gateway: NS on the LAN, service on the ring.
    Every schedule must deliver the echo and keep every circuit lifecycle
@@ -186,13 +194,13 @@ let first_send =
         | `Err e -> [ Printf.sprintf "first send failed: %s" e ]
         | `Not_run -> [ "app never completed" ]
       in
-      !errs @ outcome_errs @ trace_violations mode c
+      !errs @ outcome_errs
     in
     (Cluster.world c, body)
   in
   (* The exchange (locate, chained open, splice, echo, teardown) completes
      well before t=4.05s; later ties are 3s-periodic maintenance. *)
-  { sc_name = "first-send"; sc_from = 4_000_000; sc_until = 4_050_000; sc_make = make }
+  scenario ~contract:Exhaustive ~name:"first-send" ~from:4_000_000 ~until:4_050_000 make
 
 (* §6.3 circuit break under the LCM guard: the name server is partitioned
    away mid-run; a fresh lookup must fail cleanly — bounded recursion, no
@@ -247,35 +255,21 @@ let break_ns =
         if Ntcs_util.Metrics.get (Cluster.metrics c) "lcm.ns_guard_hits" > 0 then []
         else [ "guard never engaged" ]
       in
-      !errs @ outcome_errs @ guard_errs @ trace_violations ~recursion_limit:40 mode c
+      !errs @ outcome_errs @ guard_errs
     in
     (Cluster.world c, body)
   in
   (* Window covers the partition (t=6s), the app's wake (t=8s) and the
      whole fault exchange; the tree is small enough to leave it wide. *)
-  { sc_name = "break-ns"; sc_from = 4_000_000; sc_until = 64_000_000; sc_make = make }
+  scenario ~contract:Exhaustive ~recursion_limit:40 ~name:"break-ns" ~from:4_000_000
+    ~until:64_000_000 make
 
-(* ----- fault-plane soak scenarios (PR 3) -----
+(* ----- fault-plane soaks -----
 
-   Same contract as the scenarios above — every explored schedule must be
-   violation-free — but the world now runs under an armed {!Ntcs_sim.Faults}
-   plane, so the exchanges being checked are the *recovery* paths: LCM
-   retry/backoff, the §3.5 oracle, and the §6.3 guard. Their trees are
-   effectively unbounded (retry timers breed ties forever), so unlike [all]
-   these are run with truncation allowed: the soak contract is "at least N
-   schedules, zero failures", not exhaustiveness. *)
-
-(* Trace checks for runs where divergence — and with it a simulated process
-   crash — is the *expected* outcome: R3 minus the recursion bound, plus
-   the lifecycle automaton. *)
-let trace_violations_crashes_expected mode c =
-  let entries = Ntcs_sim.Trace.entries (Ntcs_sim.World.trace (Cluster.world c)) in
-  List.map
-    (fun v -> Format.asprintf "%a" Lint_trace.pp_violation v)
-    (Lint_trace.check_all entries @ Check_lifecycle.check entries
-    @ Check_spans.check (Ntcs_obs.Registry.spans (Cluster.metrics c)))
-  @ Check_naming.check entries
-  @ sanitizer_violations mode c @ race_violations mode c
+   The world runs under an armed {!Ntcs_sim.Faults} plane, so the
+   exchanges being checked are the *recovery* paths: LCM retry/backoff,
+   the §3.5 oracle, and the §6.3 guard. Retry timers breed ties forever,
+   hence the soak contract. *)
 
 let lan3 ?tweak ?faults mode =
   Cluster.build ~config:(config_of_mode ?faults mode) ?tweak
@@ -370,12 +364,11 @@ let fault_partition_heal =
       !errs @ chaser_errs ~text:"heal" outcome
       @ metric_at_least c "fault.blocked_frames" 1 "partition never blocked a frame"
       @ metric_at_least c "lcm.retries" 1 "recovery never engaged the retry policy"
-      @ trace_violations mode c
     in
     (Cluster.world c, body)
   in
   (* Branch across the outage and the convergence that follows it. *)
-  { sc_name = "fault-partition-heal"; sc_from = 5_000_000; sc_until = 36_000_000; sc_make = make }
+  scenario ~name:"fault-partition-heal" ~from:5_000_000 ~until:36_000_000 make
 
 (* Crash-restart of a located module (§3.5): the service's machine crashes,
    restarts, and a fresh generation re-registers under the same name. The
@@ -411,11 +404,10 @@ let fault_crash_restart =
       Cluster.settle ~dt:45_000_000 c;
       !errs @ chaser_errs ~text:"gen2" outcome
       @ metric_at_least c "lcm.relocations" 1 "stale address never healed through the oracle"
-      @ trace_violations mode c
     in
     (Cluster.world c, body)
   in
-  { sc_name = "fault-crash-restart"; sc_from = 5_000_000; sc_until = 39_000_000; sc_make = make }
+  scenario ~name:"fault-crash-restart" ~from:5_000_000 ~until:39_000_000 make
 
 (* NS partition via the fault plane, under both guard settings. Guard on:
    the §6.3 fault recursion must stay bounded on every schedule (this is
@@ -477,11 +469,11 @@ let fault_ns_partition_guard =
       in
       !errs @ outcome_errs
       @ metric_at_least c "lcm.ns_guard_hits" 1 "guard never engaged"
-      @ trace_violations ~recursion_limit:40 mode c
     in
     (Cluster.world c, body)
   in
-  { sc_name = "fault-ns-partition-guard"; sc_from = 4_000_000; sc_until = 64_000_000; sc_make = make }
+  scenario ~recursion_limit:40 ~name:"fault-ns-partition-guard" ~from:4_000_000
+    ~until:64_000_000 make
 
 let fault_ns_partition_noguard =
   let make mode =
@@ -511,26 +503,24 @@ let fault_ns_partition_noguard =
         if Ntcs_util.Metrics.get (Cluster.metrics c) "lcm.ns_guard_hits" = 0 then []
         else [ "guard engaged with ns_fault_guard=false" ]
       in
-      !errs @ divergence_errs @ guard_errs @ trace_violations_crashes_expected mode c
+      !errs @ divergence_errs @ guard_errs
     in
     (Cluster.world c, body)
   in
-  {
-    sc_name = "fault-ns-partition-noguard";
-    sc_from = 4_000_000;
-    sc_until = 64_000_000;
-    sc_make = make;
-  }
+  (* Divergence is the expected outcome here, and with it a simulated
+     crash; the recursion bound is what this scenario shows broken. *)
+  scenario ~crashes_expected:true ~name:"fault-ns-partition-noguard" ~from:4_000_000
+    ~until:64_000_000 make
 
-(* ----- sharded naming plane (DESIGN.md §15, PR 9) -----
+(* ----- sharded naming plane (DESIGN.md §15) -----
 
    Four shards round-robin over the three LAN machines (vax1 owns 0 and 3,
    sun1 owns 1, sun2 owns 2) plus [ap1], a shard-less machine that hosts
    the service under test so it can crash without taking a name server
-   with it. [trace_violations] already folds in [Check_naming], so every
-   schedule of every scenario below is also checked for cache coherence:
-   no stale hit ever resolves as fresh, store generations never go
-   backwards, shard forwarding stays within one hop. *)
+   with it. The shared [Check_naming] monitor holds every schedule of every
+   scenario below to cache coherence: no stale hit ever resolves as fresh,
+   store generations never go backwards, shard forwarding stays within
+   one hop. *)
 
 let sharded_naming = { Ntcs_sim.World.Config.shards = 4; cache_capacity = 64 }
 
@@ -620,11 +610,10 @@ let naming_shard_route =
       !errs @ outcome_errs
       @ metric_at_least c "ns.shard.forwards" 1 "shard router never forwarded"
       @ metric_at_least c "nsp.cache_hits" 1 "second locate never hit the cache"
-      @ trace_violations mode c
     in
     (Cluster.world c, body)
   in
-  { sc_name = "naming-shard-route"; sc_from = 4_000_000; sc_until = 4_100_000; sc_make = make }
+  scenario ~name:"naming-shard-route" ~from:4_000_000 ~until:4_100_000 make
 
 (* §3.5 relocation racing a cached lookup: the service's machine crashes and
    a new generation re-registers under the same name; the owner's bumped
@@ -690,11 +679,10 @@ let naming_stale_splice =
       @ metric_at_least c "lcm.relocations" 1 "stale address never healed through the oracle"
       @ metric_at_least c "ns.invalidations" 1 "relocation never bumped a shard generation"
       @ metric_at_least c "nsp.cache_hits" 1 "the versioned cache was never consulted"
-      @ trace_violations mode c
     in
     (Cluster.world c, body)
   in
-  { sc_name = "naming-stale-splice"; sc_from = 5_000_000; sc_until = 39_000_000; sc_make = make }
+  scenario ~name:"naming-stale-splice" ~from:5_000_000 ~until:39_000_000 make
 
 (* Shard loss: the machine owning the probe name's shard crashes (taking
    that name server with it — no restart). A fresh app must still bind,
@@ -747,30 +735,20 @@ let naming_shard_loss =
       @ metric_at_least c "ns.shard.fallbacks" 1
           "surviving replicas never answered for the lost shard"
       @ metric_at_least c "nsp.failovers" 1 "the client never failed over"
-      @ trace_violations mode c
     in
     (Cluster.world c, body)
   in
-  { sc_name = "naming-shard-loss"; sc_from = 5_000_000; sc_until = 30_000_000; sc_make = make }
+  scenario ~name:"naming-shard-loss" ~from:5_000_000 ~until:30_000_000 make
 
-let all = [ first_send; break_ns ]
-
-let naming = [ naming_shard_route; naming_stale_splice; naming_shard_loss ]
-
-let faults =
+let registry =
   [
+    first_send;
+    break_ns;
     fault_partition_heal;
     fault_crash_restart;
     fault_ns_partition_guard;
     fault_ns_partition_noguard;
+    naming_shard_route;
     naming_stale_splice;
     naming_shard_loss;
   ]
-
-let explore ?max_schedules ?(mode = Mode.default) sc =
-  Ntcs_sim.Explore.run ?max_schedules
-    ~branch:(fun ~time ~owners:_ -> time >= sc.sc_from && time < sc.sc_until)
-    ~make:(fun () ->
-      let w, body = sc.sc_make mode in
-      (Ntcs_sim.World.sched w, body))
-    ()

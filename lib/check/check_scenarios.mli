@@ -1,13 +1,14 @@
-(** Bounded scenarios for exhaustive schedule exploration: each builds a
-    small cluster, drives one protocol exchange, and reports R3 trace
-    invariants, lifecycle-automaton conformance, process crashes and the
-    exchange's own outcome as that schedule's violations. *)
+(** The scenario registry: every bounded exchange ntcs_check explores.
+    Each scenario builds a small cluster, drives one protocol exchange, and
+    reports that exchange's own outcome errors; {!instantiate} appends the
+    shared monitors (R3 trace invariants, lifecycle automaton, crashes,
+    span invariants, naming coherence, and the sanitizer and race checker
+    when the mode arms them). *)
 
 (** The instrumentation mode is the scheduler's canonical
-    {!Ntcs_sim.Sched.Mode} record (PR 8); this harness used to carry its
-    own [{m_sanitize; m_races}] copy. Still threaded explicitly through
-    every build — a module-level flag would itself be the ambient shared
-    state rule R8 forbids.
+    {!Ntcs_sim.Sched.Mode} record, threaded explicitly through every build —
+    a module-level flag would itself be the ambient shared state rule R8
+    forbids.
 
     [sanitize]: the buffer-pool sanitizer, armed declaratively via
     {!Ntcs_sim.World.Config}; aliasing violations — poison hits, double
@@ -18,14 +19,26 @@
 
     [races]: the happens-before checker ({!Check_race}), armed by this
     library on any world whose config asks for it; any [race.conflict] it
-    reports fails the schedule.
-
-    Both off in [Mode.default], keeping soak traces byte-identical with
-    the seed. *)
+    reports fails the schedule. *)
 module Mode = Ntcs_sim.Sched.Mode
+
+(** How a scenario's schedule tree is explored, and what counts as done. *)
+type contract =
+  | Exhaustive
+      (** the whole tree must drain within the cap, and must branch *)
+  | Soak
+      (** the tree is effectively unbounded (fault-plane retry timers breed
+          ties forever): truncation is accepted once enough failure-free
+          schedules have run *)
 
 type scenario = {
   sc_name : string;
+  sc_contract : contract;
+  sc_crashes_expected : bool;
+      (** a simulated process crash is the expected outcome, not a
+          violation *)
+  sc_recursion_limit : int option;
+      (** the R3 recursion bound checked on every schedule, if any *)
   sc_from : int;
   sc_until : int;
       (** ties inside [[sc_from, sc_until)] are branched on; the boot
@@ -33,82 +46,38 @@ type scenario = {
           order *)
   sc_make : Mode.t -> Ntcs_sim.World.t * (unit -> string list);
       (** build a fresh world for this mode and return it with the body
-          that drives the exchange and reports that run's violations *)
+          that drives the exchange and reports its outcome errors *)
 }
 
-val config_of_mode :
-  ?faults:Ntcs_sim.Faults.spec ->
-  ?naming:Ntcs_sim.World.Config.naming ->
-  Mode.t ->
-  Ntcs_sim.World.Config.t
-(** The world configuration a mode asks for (sanitizer + fault plane armed
-    declaratively at creation; [naming] shapes the naming plane, default
-    unsharded). *)
+val registry : scenario list
+(** Every scenario, in report order:
+    - [first-send] (exhaustive): §6.1 first send across a prime gateway
+      (chained open + splice);
+    - [break-ns] (exhaustive): §6.3 name-server partition under the LCM
+      guard;
+    - [fault-partition-heal]: partition the service's machine away (plus
+      lossy links), heal 4s later; the app converges on the retry policy;
+    - [fault-crash-restart]: §3.5 crash and restart of a located module;
+      the stale address heals through the address-fault oracle;
+    - [fault-ns-partition-guard]: §6.3 NS partition from the fault plane,
+      guard on — recursion bounded, guard engaged;
+    - [fault-ns-partition-noguard]: the same partition, guard off — the
+      paper's divergence must reproduce (crashes expected);
+    - [naming-shard-route]: four shards, all owners alive — cached
+      resolution hits, and a non-owner relays the owner's stamped answer
+      in one hop;
+    - [naming-stale-splice]: §3.5 relocation racing a cached lookup — the
+      owner's generation bump retires cached copies, splice repair heals
+      the stale address;
+    - [naming-shard-loss]: the probe name's shard owner crashes for good;
+      resolution survives through replica failover. *)
 
-val first_send : scenario
-(** §6.1 first send across a prime gateway (chained open + splice). *)
+val instantiate : Mode.t -> scenario -> Ntcs_sim.World.t * (unit -> string list)
+(** A fresh world for the scenario under [mode], with a body that drives
+    the exchange and returns every violation: the scenario's outcome errors
+    followed by the shared monitors' findings. *)
 
-val break_ns : scenario
-(** §6.3 name-server partition under the LCM guard. *)
-
-val all : scenario list
-(** The exhaustive scenarios: exploration must drain the whole tree. *)
-
-(** {1 Fault-plane soak scenarios}
-
-    The same contract per schedule — zero violations — but the world runs
-    under an armed {!Ntcs_sim.Faults} plane, so what is being explored is
-    the recovery machinery itself. Their schedule trees are effectively
-    unbounded (retry timers breed ties forever); run them with a budget and
-    accept truncation, requiring a minimum number of failure-free
-    schedules instead of exhaustiveness. *)
-
-val fault_partition_heal : scenario
-(** Partition the service's machine away mid-run (plus lossy links), heal
-    4s later; the app must converge on the LCM retry policy. *)
-
-val fault_crash_restart : scenario
-(** §3.5: crash and restart the machine hosting a located module; a new
-    generation re-registers and the app's stale address must heal through
-    the address-fault oracle. *)
-
-val fault_ns_partition_guard : scenario
-(** §6.3 NS partition injected by the fault plane, [ns_fault_guard] on:
-    recursion bounded, guard engaged, no crashes — on every schedule. *)
-
-val fault_ns_partition_noguard : scenario
-(** Same partition, guard off: the paper's divergence (deep fault-query
-    recursion or simulated stack overflow) must reproduce on every
-    schedule. *)
-
-val faults : scenario list
-(** The recovery soaks, the two naming soaks included. *)
-
-(** {1 Sharded naming plane (DESIGN.md §15)}
-
-    Four shards round-robin over the LAN's name-server machines; every
-    schedule is additionally checked for cache coherence by
-    {!Check_naming} (wired into the shared trace checks). *)
-
-val naming_shard_route : scenario
-(** All owners alive: versioned cached resolution (second locate hits),
-    and a [Lookup_v] planted on a non-owner relays the owner's stamped
-    answer in one hop. *)
-
-val naming_stale_splice : scenario
-(** §3.5 relocation racing a cached lookup: crash/restart of the service's
-    machine plus re-registration; the owner's generation bump must retire
-    cached copies, the chaser's stale address heals by splice repair, and
-    no stale hit ever resolves as fresh. Also part of {!faults}. *)
-
-val naming_shard_loss : scenario
-(** The machine owning the probe name's shard crashes for good; resolution
-    must survive through replica failover and unversioned backup answers.
-    Also part of {!faults}. *)
-
-val naming : scenario list
-(** The naming-plane scenarios, for [ntcs_check --naming] / [@naming]. *)
-
-val explore : ?max_schedules:int -> ?mode:Mode.t -> scenario -> Ntcs_sim.Explore.outcome
-(** Explore the scenario's schedule tree (see {!Ntcs_sim.Explore.run});
-    [mode] defaults to [Mode.default] — everything disarmed. *)
+val default_schedule : Mode.t -> scenario -> string * string list
+(** Run the scenario once, in the scheduler's default order, under [mode]:
+    the rendered trace ({!Ntcs_sim.Trace.dump}) and {!instantiate}'s
+    violations. *)

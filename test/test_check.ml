@@ -1,8 +1,8 @@
 (* Self-tests for ntcs_check: the lifecycle automaton's structural
    soundness, one seeded violation per analysis (handler gap, unguarded
    NSP→LCM cycle, illegal trace) asserting the checker fires with the right
-   file:line, the schedule explorer's enumeration, and exhaustive
-   exploration of the bounded scenarios. *)
+   file:line, the schedule explorer's enumeration, and the neutrality of
+   the armed monitors on every registered scenario. *)
 
 let src file text = Lint_lex.of_string ~file text
 let diag_strings ds = List.map Lint_diag.to_string ds
@@ -229,20 +229,21 @@ let test_explorer_reports_failures () =
      Alcotest.(check (list int)) "on the swapped schedule" [ 1 ] path
    | fs -> Alcotest.failf "expected one failure, got %d" (List.length fs))
 
-(* --- exhaustive exploration of the bounded scenarios --- *)
+(* --- monitor neutrality over the scenario registry --- *)
 
-let explore_clean sc =
-  let o = Check_scenarios.explore ~max_schedules:4000 sc in
-  Alcotest.(check bool)
-    (sc.Check_scenarios.sc_name ^ " exhaustive") false o.Ntcs_sim.Explore.truncated;
-  Alcotest.(check bool)
-    (sc.Check_scenarios.sc_name ^ " actually branched") true (o.Ntcs_sim.Explore.schedules >= 2);
-  Alcotest.(check (list string))
-    (sc.Check_scenarios.sc_name ^ " clean on every schedule") []
-    (List.map snd o.Ntcs_sim.Explore.failures)
+(* Arming the sanitizer and the race checker must not perturb a single
+   trace byte or violation: that is what lets both monitors ride the one
+   exploration pass. Compared on each scenario's default schedule. *)
+let default_schedule_matches mode sc () =
+  let disarmed = Check_scenarios.default_schedule Ntcs_sim.Sched.Mode.default sc in
+  let trace, violations = Check_scenarios.default_schedule mode sc in
+  Alcotest.(check string) "trace" (fst disarmed) trace;
+  Alcotest.(check (list string)) "violations" (snd disarmed) violations
 
-let test_first_send_all_schedules () = explore_clean Check_scenarios.first_send
-let test_break_ns_all_schedules () = explore_clean Check_scenarios.break_ns
+let per_scenario f =
+  List.map
+    (fun sc -> Alcotest.test_case sc.Check_scenarios.sc_name `Quick (f sc))
+    Check_scenarios.registry
 
 (* --- the repo itself conforms --- *)
 
@@ -304,10 +305,9 @@ let () =
           Alcotest.test_case "budget truncates" `Quick test_explorer_budget_truncates;
           Alcotest.test_case "failures carry the path" `Quick test_explorer_reports_failures;
         ] );
-      ( "scenarios",
-        [
-          Alcotest.test_case "first send, all schedules" `Slow test_first_send_all_schedules;
-          Alcotest.test_case "ns break, all schedules" `Slow test_break_ns_all_schedules;
-        ] );
+      (* The sanitizer-off byte-identical-trace guarantee: equal seeds,
+         equal bytes, with every monitor disarmed. *)
+      ("disarmed-reproducible", per_scenario (default_schedule_matches Ntcs_sim.Sched.Mode.default));
+      ("armed-neutral", per_scenario (default_schedule_matches Check.armed));
       ("repo", [ Alcotest.test_case "lib/ conformant" `Quick test_repo_conformant ]);
     ]

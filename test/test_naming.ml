@@ -459,7 +459,7 @@ let cache_props =
   ]
 
 (* Four shard servers round-robin over three NS hosts (vax1 gets shards 0
-   and 3), pinned 4-way FNV shard map — the same plane the @naming
+   and 3), pinned 4-way FNV shard map — the same plane the naming
    scenarios and the naming bench run. *)
 let sharded_cluster ?seed () =
   Cluster.build ?seed

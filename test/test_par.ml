@@ -6,14 +6,14 @@
 open Ntcs_sim
 module Config = World.Config
 
-let scenarios = Check_scenarios.all @ Check_scenarios.faults
+let scenarios = Check_scenarios.registry
 
-(* --- replication: every @check scenario, replicated on 2 domains ----- *)
+(* --- replication: every registered scenario, on 1, 2 and 4 domains --- *)
 
-let test_replication_all () =
+let test_replication_all replicas () =
   List.iter
     (fun sc ->
-      let r = Check_par.replicate ~replicas:2 sc in
+      let r = Check_par.replicate ~replicas sc in
       Alcotest.(check (list string))
         (sc.Check_scenarios.sc_name ^ " solo violations") [] r.Check_par.rp_violations;
       Alcotest.(check (list int))
@@ -31,6 +31,7 @@ let prop_replication =
 
 (* --- the coupled soak: workers matrix, spans, races, replay ---------- *)
 
+let soak1 = lazy (Check_par.par_soak ~domains:1 ())
 let soak2 = lazy (Check_par.par_soak ~domains:2 ())
 let soak4 = lazy (Check_par.par_soak ~domains:4 ())
 
@@ -50,6 +51,7 @@ let check_soak name (r : Check_par.par_report) ~domains =
     (List.init domains (fun i -> Printf.sprintf "s%d/resident" i))
     r.Check_par.pr_blocked
 
+let test_soak_1 () = check_soak "1-shard" (Lazy.force soak1) ~domains:1
 let test_soak_2 () = check_soak "2-shard" (Lazy.force soak2) ~domains:2
 let test_soak_4 () = check_soak "4-shard" (Lazy.force soak4) ~domains:4
 
@@ -160,11 +162,14 @@ let () =
     [
       ( "replication",
         [
-          Alcotest.test_case "all scenarios x2 domains" `Slow test_replication_all;
+          Alcotest.test_case "all scenarios x1 domain" `Slow (test_replication_all 1);
+          Alcotest.test_case "all scenarios x2 domains" `Slow (test_replication_all 2);
+          Alcotest.test_case "all scenarios x4 domains" `Slow (test_replication_all 4);
           QCheck_alcotest.to_alcotest prop_replication;
         ] );
       ( "soak",
         [
+          Alcotest.test_case "1 shard, workers 1/2/4" `Quick test_soak_1;
           Alcotest.test_case "2 shards, workers 1/2/4" `Quick test_soak_2;
           Alcotest.test_case "4 shards, workers 1/2/4" `Quick test_soak_4;
         ] );
