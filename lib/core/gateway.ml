@@ -26,7 +26,26 @@ type leg = {
   lg_commod : Commod.t;
   lg_circuit : Nd_layer.circuit;
   lg_label : int;
+  lg_route : string; (* "net<in> label <in> -> net<out> label <out>", gw.forward's prefix *)
+  lg_hop : string; (* "net<in>->net<out>", gw.forward's span detail *)
 }
+
+(* The leg a frame arriving on ([in_net], [in_label]) leaves by. The route
+   texts are fixed for the splice's life, so they are rendered once here
+   rather than on every forwarded frame. *)
+let make_leg ~in_net ~in_label ~net ~commod ~circuit ~label =
+  let in_net = string_of_int in_net and out_net = string_of_int net in
+  {
+    lg_net = net;
+    lg_commod = commod;
+    lg_circuit = circuit;
+    lg_label = label;
+    lg_route =
+      String.concat ""
+        [ "net"; in_net; " label "; string_of_int in_label; " -> net"; out_net; " label ";
+          string_of_int label ];
+    lg_hop = String.concat "" [ "net"; in_net; "->net"; out_net ];
+  }
 
 type t = {
   node : Node.t;
@@ -145,12 +164,12 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
         else begin
           let out_label = Registry.fresh_label t.node.Node.ipcs in
           Hashtbl.replace t.splices in_key
-            { lg_net = out_net; lg_commod = out_commod; lg_circuit = out_circuit;
-              lg_label = out_label };
+            (make_leg ~in_net ~in_label:h.Proto.ivc ~net:out_net ~commod:out_commod
+               ~circuit:out_circuit ~label:out_label);
           Hashtbl.replace t.splices
             (leg_key out_net out_circuit out_label)
-            { lg_net = in_net; lg_commod = in_commod; lg_circuit = in_circuit;
-              lg_label = h.Proto.ivc };
+            (make_leg ~in_net:out_net ~in_label:out_label ~net:in_net ~commod:in_commod
+               ~circuit:in_circuit ~label:h.Proto.ivc);
           let body =
             Ntcs_wire.Packed.run_pack Proto.ivc_open_codec
               { req with Proto.route = (match req.Proto.route with [] -> [] | _ :: r -> r) }
@@ -223,15 +242,12 @@ let handle_frame t (net : Net.id) (_commod : Commod.t) circuit (view : Proto.Fra
          never talk to each other — is checkable from event logs (lint R3)
          instead of assumed. *)
       trace t ~cat:"gw.forward"
-        (Printf.sprintf "net%d label %d -> net%d label %d kind=%s dst=%s span=%s" net
-           h.Proto.ivc out.lg_net out.lg_label
-           (Proto.kind_to_string h.Proto.kind)
-           (Addr.to_string h.Proto.dst)
-           (Ntcs_obs.Span.to_string h.Proto.span));
+        (String.concat ""
+           [ out.lg_route; " kind="; Proto.kind_to_string h.Proto.kind; " dst=";
+             Addr.to_string h.Proto.dst; " span="; Ntcs_obs.Span.to_string h.Proto.span ]);
       if not (Ntcs_obs.Span.is_none h.Proto.span) then
         World.span (Node.world t.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I
-          ~name:"gw.forward" ~actor:t.gw_name
-          (Printf.sprintf "net%d->net%d" net out.lg_net);
+          ~name:"gw.forward" ~actor:t.gw_name out.lg_hop;
       (match Nd_layer.forward_view out.lg_circuit view with
        | Ok () -> ()
        | Error _ ->

@@ -82,7 +82,11 @@ and reply_slot = { rs_dst : Addr.t; rs_ivar : (envelope, Errors.t) result Sched.
    destination UAdd, from first use until peer-down/shutdown. Relocation
    keeps the circuit (the logical connection survives, §3.5); a later
    reconnection after a close gets a fresh world-unique id. *)
-and circ = { circ_id : int; mutable circ_seq : int }
+and circ = {
+  circ_id : int;
+  mutable circ_seq : int;
+  circ_detail : string; (* "dst=<addr>": the detail of every B event on it *)
+}
 
 let metrics t = Node.metrics t.node
 let trace t ~cat detail = Node.record t.node ~cat ~actor:t.nd.Nd_layer.owner detail
@@ -104,18 +108,12 @@ let circuit_of t ~dst =
   | Some c -> c
   | None ->
     let id = Ntcs_obs.Registry.fresh_circuit (metrics t) in
-    let c = { circ_id = id; circ_seq = 0 } in
+    let c = { circ_id = id; circ_seq = 0; circ_detail = "dst=" ^ Addr.to_string dst } in
     Hashtbl.replace t.circuits dst c;
     span_event t
       ~ctx:(Ntcs_obs.Span.make ~circuit:id ~seq:0)
-      ~phase:Ntcs_obs.Span.B ~name:"lcm.circuit"
-      (Printf.sprintf "dst=%s" (Addr.to_string dst));
+      ~phase:Ntcs_obs.Span.B ~name:"lcm.circuit" c.circ_detail;
     c
-
-let next_ctx t ~dst =
-  let c = circuit_of t ~dst in
-  c.circ_seq <- c.circ_seq + 1;
-  Ntcs_obs.Span.make ~circuit:c.circ_id ~seq:c.circ_seq
 
 let close_circuit t ~reason dst =
   match Hashtbl.find_opt t.circuits dst with
@@ -130,14 +128,27 @@ let close_all_circuits t ~reason =
   List.iter (fun (dst, _) -> close_circuit t ~reason dst)
     (Ntcs_util.sorted_bindings t.circuits)
 
+(* One ALI-boundary primitive: its span name and its latency histogram
+   ("lcm.send" and "lcm.send_us", ...), both built once. *)
+type op = { op_name : string; op_hist : string }
+
+let op name = { op_name = name; op_hist = name ^ "_us" }
+let op_send = op "lcm.send"
+let op_send_dgram = op "lcm.send_dgram"
+let op_send_sync = op "lcm.send_sync"
+let op_reply = op "lcm.reply"
+let op_ping = op "lcm.ping"
+
 (* Bracket one ALI-boundary primitive in a message span: B before the work,
-   E (with the outcome) after, and the elapsed sim time into the layer's
-   latency histogram ("lcm.send_us", "lcm.send_sync_us", ...). *)
-let spanned t ~dst ~name f =
-  let ctx = next_ctx t ~dst in
+   E (with the outcome) after, and the elapsed sim time into the op's
+   latency histogram. *)
+let spanned t ~dst ~op f =
+  let name = op.op_name in
+  let c = circuit_of t ~dst in
+  c.circ_seq <- c.circ_seq + 1;
+  let ctx = Ntcs_obs.Span.make ~circuit:c.circ_id ~seq:c.circ_seq in
   let t0 = Node.now t.node in
-  span_event t ~ctx ~phase:Ntcs_obs.Span.B ~name
-    (Printf.sprintf "dst=%s" (Addr.to_string dst));
+  span_event t ~ctx ~phase:Ntcs_obs.Span.B ~name c.circ_detail;
   let r =
     (* An exception here is the owner dying mid-operation (e.g. the §6.3
        divergence's simulated stack overflow): mark the span crashed so the
@@ -147,7 +158,7 @@ let spanned t ~dst ~name f =
       span_event t ~ctx ~phase:Ntcs_obs.Span.E ~name "crashed";
       raise exn
   in
-  Ntcs_obs.Registry.observe (metrics t) (name ^ "_us") (Node.now t.node - t0);
+  Ntcs_obs.Registry.observe (metrics t) op.op_hist (Node.now t.node - t0);
   span_event t ~ctx ~phase:Ntcs_obs.Span.E ~name
     (match r with Ok _ -> "ok" | Error e -> "err=" ^ Errors.to_string e);
   r
@@ -184,7 +195,7 @@ let tracked t f =
 
 (* --- the monitor / time-service hooks (§6.1) --- *)
 
-let monitor_event t kind detail =
+let monitor_event t kind peer =
   if t.node.Node.config.Node.monitoring && not t.monitor_suppress then begin
     match t.node.Node.hooks.Node.on_event with
     | None -> ()
@@ -197,7 +208,7 @@ let monitor_event t kind detail =
         if t.node.Node.config.Node.timestamps then t.node.Node.hooks.Node.timestamp ()
         else Node.now t.node
       in
-      hook kind (Printf.sprintf "t=%d %s" ts detail)
+      hook kind (Printf.sprintf "t=%d %s" ts (Addr.to_string peer))
   end
 
 (* --- the address-fault handler (§3.5 / §6.3) --- *)
@@ -330,8 +341,8 @@ let send_frame ?deadline_us ?(span = Ntcs_obs.Span.none) t ~dst ~kind ~conv ~app
 
 let send t ~dst ?(app_tag = 0) ?timeout_us payload =
   tracked t (fun () ->
-      spanned t ~dst ~name:"lcm.send" (fun span ->
-          monitor_event t "send" (Addr.to_string dst);
+      spanned t ~dst ~op:op_send (fun span ->
+          monitor_event t "send" dst;
           let deadline_us = deadline_of t timeout_us in
           let r =
             send_frame ~deadline_us ~span t ~dst ~kind:Proto.Data ~conv:0 ~app_tag payload
@@ -346,7 +357,7 @@ let send t ~dst ?(app_tag = 0) ?timeout_us payload =
 (* Connectionless protocol: single attempt, no relocation, no recovery. *)
 let send_dgram t ~dst ?(app_tag = 0) ?timeout_us payload =
   tracked t (fun () ->
-      spanned t ~dst ~name:"lcm.send_dgram" (fun span ->
+      spanned t ~dst ~op:op_send_dgram (fun span ->
           let deadline_us = deadline_of t timeout_us in
           let r =
             send_frame ~deadline_us ~span t ~dst ~kind:Proto.Dgram ~conv:0 ~app_tag payload
@@ -370,8 +381,8 @@ let await_reply t ~dst ~conv ~timeout_us =
 (* Synchronous send/receive/reply conversation (§1.3). *)
 let send_sync t ~dst ?(app_tag = 0) ?timeout_us payload =
   tracked t (fun () ->
-      spanned t ~dst ~name:"lcm.send_sync" (fun span ->
-          monitor_event t "send-sync" (Addr.to_string dst);
+      spanned t ~dst ~op:op_send_sync (fun span ->
+          monitor_event t "send-sync" dst;
           (* One deadline for the whole conversation: send retries, their
              backoff, and the reply wait all draw on the same budget. The
              whole conversation shares one span ctx — the reply comes back
@@ -392,8 +403,8 @@ let reply t (env : envelope) ?(app_tag = 0) ?timeout_us payload =
   tracked t (fun () ->
       if env.conv = 0 then Error (Errors.Internal "reply to a message that expects none")
       else
-        spanned t ~dst:env.src ~name:"lcm.reply" (fun span ->
-            monitor_event t "reply" (Addr.to_string env.src);
+        spanned t ~dst:env.src ~op:op_reply (fun span ->
+            monitor_event t "reply" env.src;
             let deadline_us = deadline_of t timeout_us in
             send_frame ~deadline_us ~span t ~dst:env.src ~kind:Proto.Reply ~conv:env.conv
               ~app_tag payload))
@@ -402,7 +413,7 @@ let reply t (env : envelope) ?(app_tag = 0) ?timeout_us payload =
    service to decide whether an old UAdd is "really inactive" (§3.5). *)
 let ping t ~dst ~timeout_us =
   tracked t (fun () ->
-      spanned t ~dst ~name:"lcm.ping" (fun span ->
+      spanned t ~dst ~op:op_ping (fun span ->
           let conv = fresh_conv t in
           match
             send_frame ~deadline_us:(Node.now t.node + timeout_us) ~span t ~dst
@@ -456,7 +467,7 @@ let recv ?timeout_us ?app_tag t =
       (match result with
        | Ok env ->
          t.counters.c_received <- t.counters.c_received + 1;
-         monitor_event t "recv" (Addr.to_string env.src)
+         monitor_event t "recv" env.src
        | Error _ -> ());
       result)
 
@@ -504,7 +515,7 @@ let handle_delivery t (d : Ip_layer.delivery) =
   let deliver_span () =
     if not (Ntcs_obs.Span.is_none h.Proto.span) then
       span_event t ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I ~name:"lcm.deliver"
-        (Printf.sprintf "kind=%s" (Proto.kind_to_string h.Proto.kind))
+        ("kind=" ^ Proto.kind_to_string h.Proto.kind)
   in
   let to_inbox env =
     Sched.Mailbox.send t.app_inbox env;

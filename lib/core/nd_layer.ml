@@ -33,7 +33,15 @@ type circuit = {
   mutable peer_listen : Phys_addr.t list;
   mutable c_open : bool;
   outbound : bool;
+  tx_text : span_text; (* nd.tx detail of the last frame sent *)
+  rx_text : span_text; (* nd.rx detail of the last frame received *)
 }
+
+(* A circuit direction's nd.tx / nd.rx span detail, rendered once and reused
+   while the frame kind and address repeat. In steady state they always do,
+   so the span log shares one string per direction instead of holding a
+   fresh one per frame. *)
+and span_text = { mutable st_key : (Proto.kind * Addr.t) option; mutable st_text : string }
 
 and event =
   | Frame of circuit * Proto.Frame.t (* zero-copy view; header pre-validated *)
@@ -111,6 +119,18 @@ let find_circuit t addr =
 let resolve_alias t addr =
   match Hashtbl.find_opt t.alias_fwd addr with Some real -> real | None -> addr
 
+let span_text () = { st_key = None; st_text = "" }
+
+(* [label] is " dst=" or " src=". *)
+let render st ~label kind addr =
+  (match st.st_key with
+   | Some (k, a) when k = kind && Addr.equal a addr -> ()
+   | Some _ | None ->
+     st.st_key <- Some (kind, addr);
+     st.st_text <-
+       String.concat "" [ "kind="; Proto.kind_to_string kind; label; Addr.to_string addr ]);
+  st.st_text
+
 let hello_payload t =
   Packed.run_pack Proto.hello_codec
     {
@@ -129,8 +149,7 @@ let send_view (c : circuit) (h : Proto.header) buf ~off ~len =
   if not (Ntcs_obs.Span.is_none h.Proto.span) then
     World.span (Node.world c.nd.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I ~name:"nd.tx"
       ~actor:c.nd.owner
-      (Printf.sprintf "kind=%s dst=%s" (Proto.kind_to_string h.Proto.kind)
-         (Addr.to_string h.Proto.dst));
+      (render c.tx_text ~label:" dst=" h.Proto.kind h.Proto.dst);
   match c.lvc.Std_if.send_sub buf ~off ~len with
   | Ok () -> Ok ()
   | Error e ->
@@ -224,8 +243,7 @@ let handle_incoming (c : circuit) raw =
     if not (Ntcs_obs.Span.is_none h.Proto.span) then
       World.span (Node.world t.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I ~name:"nd.rx"
         ~actor:t.owner
-        (Printf.sprintf "kind=%s src=%s" (Proto.kind_to_string h.Proto.kind)
-           (Addr.to_string h.Proto.src));
+        (render c.rx_text ~label:" src=" h.Proto.kind h.Proto.src);
     (* Only non-chained frames identify the circuit peer: a chained frame's
        source is the remote origin, not the gateway this circuit goes to —
        re-keying on it would steal the gateway's table entry. *)
@@ -318,6 +336,8 @@ let inbound_handshake t (lvc : Std_if.lvc) =
               peer_listen = List.filter_map Phys_addr.of_string hello.Proto.h_listen;
               c_open = true;
               outbound = false;
+              tx_text = span_text ();
+              rx_text = span_text ();
             }
           in
           register_circuit t key c;
@@ -424,6 +444,8 @@ let open_circuit t ~(phys : Phys_addr.t) =
                     peer_listen = List.filter_map Phys_addr.of_string hello.Proto.h_listen;
                     c_open = true;
                     outbound = true;
+                    tx_text = span_text ();
+                    rx_text = span_text ();
                   }
                 in
                 register_circuit t key c;

@@ -32,7 +32,13 @@ type circuit = {
   mutable peer_listen : Phys_addr.t list;
   mutable c_open : bool;
   outbound : bool;
+  tx_text : span_text;  (** cached nd.tx span detail *)
+  rx_text : span_text;  (** cached nd.rx span detail *)
 }
+
+and span_text
+(** One circuit direction's span detail, rendered once while the frame kind
+    and address repeat. *)
 
 and event =
   | Frame of circuit * Proto.Frame.t

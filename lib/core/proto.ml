@@ -103,61 +103,70 @@ let make_header ~kind ~src ~dst ?(mode = Convert.Packed) ?(src_order = Endian.Be
    w3-w4: dst address
    w5: mode(4) | src_order(4) | hops(8) | flags(16, reserved)
    w6: seq   w7: conv   w8: app_tag   w9: ivc   w10: payload_len
-   w11: span circuit id   w12: span per-circuit sequence id *)
-let header_to_words h =
+   w11: span circuit id   w12: span per-circuit sequence id
+
+   Every word is written and read with plain shifts and masks, straight
+   between the header record and the buffer, with no intermediate array or
+   closure: the one encoder below and the one decoder after it allocate
+   nothing but the decoded record. *)
+let blit_header h buf off =
   if h.hops < 0 || h.hops > 255 then
     raise
       (Bad_header
          (Printf.sprintf "hop count %d outside the 8-bit field (loop-detection E7 must not wrap)"
             h.hops));
-  let src = Addr.to_words h.src and dst = Addr.to_words h.dst in
-  let w0 = Shift.pack_bits [ (magic, 16); (version, 8); (kind_to_int h.kind, 8) ] in
-  let w5 =
-    Shift.pack_bits
-      [ (Convert.mode_to_int h.mode, 4); (order_to_int h.src_order, 4); (h.hops, 8); (0, 16) ]
-  in
-  [| w0; src.(0); src.(1); dst.(0); dst.(1); w5; h.seq; h.conv; h.app_tag; h.ivc;
-     h.payload_len; h.span.Ntcs_obs.Span.sp_circuit; h.span.Ntcs_obs.Span.sp_seq |]
+  Shift.poke_word buf off ((magic lsl 16) lor (version lsl 8) lor kind_to_int h.kind);
+  Shift.poke_word buf (off + 4) (Addr.space_word h.src);
+  Shift.poke_word buf (off + 8) (Addr.value_word h.src);
+  Shift.poke_word buf (off + 12) (Addr.space_word h.dst);
+  Shift.poke_word buf (off + 16) (Addr.value_word h.dst);
+  Shift.poke_word buf (off + 20)
+    ((Convert.mode_to_int h.mode lsl 28) lor (order_to_int h.src_order lsl 24)
+     lor (h.hops lsl 16));
+  Shift.poke_word buf (off + 24) h.seq;
+  Shift.poke_word buf (off + 28) h.conv;
+  Shift.poke_word buf (off + 32) h.app_tag;
+  Shift.poke_word buf (off + 36) h.ivc;
+  Shift.poke_word buf (off + 40) h.payload_len;
+  Shift.poke_word buf (off + 44) h.span.Ntcs_obs.Span.sp_circuit;
+  Shift.poke_word buf (off + 48) h.span.Ntcs_obs.Span.sp_seq
 
-let encode_header h = Shift.encode_words (header_to_words h)
-
-let blit_header h buf off =
-  Array.iteri (fun i w -> Shift.poke_word buf (off + (4 * i)) w) (header_to_words h)
+let encode_header h =
+  let buf = Bytes.create header_bytes in
+  blit_header h buf 0;
+  buf
 
 let decode_header_at data off =
   if off < 0 || Bytes.length data - off < header_bytes then raise (Bad_header "short header");
-  let w = Shift.decode_words data ~off ~count:header_words in
-  let kind =
-    match Shift.unpack_bits w.(0) [ 16; 8; 8 ] with
-    | [ m; v; k ] ->
-      if m <> magic then raise (Bad_header "bad magic");
-      if v <> version then raise (Bad_header (Printf.sprintf "unsupported version %d" v));
-      kind_of_int k
-    | _ -> assert false
-  in
-  let mode, src_order, hops =
-    match Shift.unpack_bits w.(5) [ 4; 4; 8; 16 ] with
-    | [ m; o; h; _ ] -> (
-      ( (match Convert.mode_of_int m with
-         | Some m -> m
-         | None -> raise (Bad_header (Printf.sprintf "unknown conversion mode %d" m))),
-        order_of_int o,
-        h ))
-    | _ -> assert false
+  let w0 = Shift.get_word data off in
+  if w0 lsr 16 <> magic then raise (Bad_header "bad magic");
+  let v = (w0 lsr 8) land 0xFF in
+  if v <> version then raise (Bad_header (Printf.sprintf "unsupported version %d" v));
+  let kind = kind_of_int (w0 land 0xFF) in
+  let w5 = Shift.get_word data (off + 20) in
+  (* The order tag is checked before the mode: a header wrong in both
+     reports the order. *)
+  let src_order = order_of_int ((w5 lsr 24) land 0xF) in
+  let mode =
+    match Convert.mode_of_int (w5 lsr 28) with
+    | Some m -> m
+    | None -> raise (Bad_header (Printf.sprintf "unknown conversion mode %d" (w5 lsr 28)))
   in
   {
     kind;
-    src = Addr.of_words w.(1) w.(2);
-    dst = Addr.of_words w.(3) w.(4);
+    src = Addr.of_words (Shift.get_word data (off + 4)) (Shift.get_word data (off + 8));
+    dst = Addr.of_words (Shift.get_word data (off + 12)) (Shift.get_word data (off + 16));
     mode;
     src_order;
-    hops;
-    seq = w.(6);
-    conv = w.(7);
-    app_tag = w.(8);
-    ivc = w.(9);
-    payload_len = w.(10);
-    span = Ntcs_obs.Span.make ~circuit:w.(11) ~seq:w.(12);
+    hops = (w5 lsr 16) land 0xFF;
+    seq = Shift.get_word data (off + 24);
+    conv = Shift.get_word data (off + 28);
+    app_tag = Shift.get_word data (off + 32);
+    ivc = Shift.get_word data (off + 36);
+    payload_len = Shift.get_word data (off + 40);
+    span =
+      Ntcs_obs.Span.make ~circuit:(Shift.get_word data (off + 44))
+        ~seq:(Shift.get_word data (off + 48));
   }
 
 let decode_header data = decode_header_at data 0
@@ -260,17 +269,12 @@ module Frame = struct
     if hops < 0 || hops > 255 then
       raise (Bad_header (Printf.sprintf "hop count %d outside the 8-bit field" hops));
     let w5 = Shift.get_word v.buf (word_off v 5) in
-    match Shift.unpack_bits w5 [ 4; 4; 8; 16 ] with
-    | [ m; o; _; fl ] ->
-      Shift.poke_word v.buf (word_off v 5)
-        (Shift.pack_bits [ (m, 4); (o, 4); (hops, 8); (fl, 16) ]);
-      (match v.hdr with Some h -> v.hdr <- Some { h with hops } | None -> ())
-    | _ -> assert false
+    Shift.poke_word v.buf (word_off v 5) ((w5 land lnot 0xFF0000) lor (hops lsl 16));
+    match v.hdr with Some h -> v.hdr <- Some { h with hops } | None -> ()
 
   let patch_dst v dst =
-    let w = Addr.to_words dst in
-    Shift.poke_word v.buf (word_off v 3) w.(0);
-    Shift.poke_word v.buf (word_off v 4) w.(1);
+    Shift.poke_word v.buf (word_off v 3) (Addr.space_word dst);
+    Shift.poke_word v.buf (word_off v 4) (Addr.value_word dst);
     match v.hdr with Some h -> v.hdr <- Some { h with dst } | None -> ()
 end
 
@@ -279,9 +283,7 @@ end
 let addr_codec =
   Packed.iso
     ~fwd:(fun (w0, w1) -> Addr.of_words w0 w1)
-    ~bwd:(fun a ->
-      let w = Addr.to_words a in
-      (w.(0), w.(1)))
+    ~bwd:(fun a -> (Addr.space_word a, Addr.value_word a))
     (Packed.pair Packed.int Packed.int)
 
 (* HELLO / HELLO_ACK body: my UAdd (redundant with the header, but the header

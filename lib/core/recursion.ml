@@ -30,7 +30,14 @@ let leave t = t.depth <- t.depth - 1
 
 let with_entry t f =
   enter t;
-  Fun.protect ~finally:(fun () -> leave t) f
+  match f () with
+  | v ->
+    leave t;
+    v
+  | exception exn ->
+    let bt = Printexc.get_raw_backtrace () in
+    leave t;
+    Printexc.raise_with_backtrace exn bt
 
 let depth t = t.depth
 let max_depth t = t.max_depth

@@ -241,19 +241,22 @@ let send ?(off = 0) ?len (c : conn) (data : Bytes.t) =
     end
   end
 
-(* Drain everything that has arrived, coalescing chunks — read(2) semantics.
-   Pooled in-flight buffers go back to the freelist here, once their bytes
-   are out. *)
+(* Drain everything that has arrived, coalescing chunks into one
+   exactly-sized buffer — read(2) semantics. Pooled in-flight buffers go
+   back to the freelist here, once their bytes are out. *)
 let take_available pool ep =
   if Queue.is_empty ep.chunks then None
   else begin
-    let buf = Buffer.create 1024 in
+    let total = Queue.fold (fun n (_, len, _) -> n + len) 0 ep.chunks in
+    let out = Bytes.create total in
+    let pos = ref 0 in
     while not (Queue.is_empty ep.chunks) do
       let b, len, pooled = Queue.pop ep.chunks in
-      Buffer.add_subbytes buf b 0 len;
+      Bytes.blit b 0 out !pos len;
+      pos := !pos + len;
       if pooled then Ntcs_util.Pool.release pool b
     done;
-    Some (Buffer.to_bytes buf)
+    Some out
   end
 
 let recv ?timeout_us (c : conn) =

@@ -11,7 +11,8 @@ type ctx = { sp_circuit : int; sp_seq : int }
 let none = { sp_circuit = 0; sp_seq = 0 }
 let is_none c = c.sp_circuit = 0
 let make ~circuit ~seq = { sp_circuit = circuit; sp_seq = seq }
-let to_string c = Printf.sprintf "c%d#%d" c.sp_circuit c.sp_seq
+let to_string c =
+  String.concat "" [ "c"; string_of_int c.sp_circuit; "#"; string_of_int c.sp_seq ]
 
 let of_string s =
   match String.index_opt s '#' with

@@ -32,7 +32,8 @@ let run_once seed =
   let metrics_txt = Fmt.str "%a" Ntcs_util.Metrics.pp (Cluster.metrics c) in
   let entries = Ntcs_sim.Trace.entries (Ntcs_sim.World.trace (Cluster.world c)) in
   let recursion_limit = (Cluster.config c).Node.recursion_limit in
-  (trace_txt, metrics_txt, entries, recursion_limit)
+  let spans_txt = Ntcs_obs.Export.spans_jsonl (Cluster.metrics c) in
+  (trace_txt, metrics_txt, entries, recursion_limit, spans_txt)
 
 (* Byte equality, but fail with the first differing line instead of dumping
    two full traces at each other. *)
@@ -50,8 +51,8 @@ let check_same label a b =
   end
 
 let test_trace_identical () =
-  let t1, m1, _, _ = run_once 42 in
-  let t2, m2, _, _ = run_once 42 in
+  let t1, m1, _, _, _ = run_once 42 in
+  let t2, m2, _, _, _ = run_once 42 in
   check_same "trace" t1 t2;
   check_same "metrics" m1 m2;
   Alcotest.(check bool) "trace is non-trivial" true
@@ -117,12 +118,12 @@ let test_faulty_trace_identical () =
 let test_seed_matters () =
   (* Sanity that the comparison has teeth: a different seed must move
      something in the virtual timeline. *)
-  let t1, _, _, _ = run_once 42 in
-  let t2, _, _, _ = run_once 43 in
+  let t1, _, _, _, _ = run_once 42 in
+  let t2, _, _, _, _ = run_once 43 in
   Alcotest.(check bool) "different seeds diverge" false (String.equal t1 t2)
 
 let test_r3_invariants_hold () =
-  let _, _, entries, recursion_limit = run_once 42 in
+  let _, _, entries, recursion_limit, _ = run_once 42 in
   Alcotest.(check bool) "trace saw the gateway work" true
     (List.exists (fun e -> e.Ntcs_sim.Trace.cat = "gw.forward") entries);
   Alcotest.(check bool) "trace saw conversion decisions" true
@@ -135,6 +136,76 @@ let test_r3_invariants_hold () =
     Alcotest.failf "R3 violations on a healthy run:@.%s"
       (String.concat "\n" (List.map (Fmt.str "%a" Lint_trace.pp_violation) vs))
 
+(* Rendered telemetry pinned across code changes, not only run against run:
+   the digests below were captured from the Printf-based renderers, so any
+   change to a trace line or span detail fails here. The second run crosses
+   three gateways between a Sun and a VAX over TCP LANs and MBX rings, so
+   its frames travel in packed mode with hop counts up to 3. *)
+let run_hetero seed =
+  let c =
+    Cluster.build ~seed
+      ~nets:
+        [
+          ("lan0", Ntcs_sim.Net.Tcp_lan);
+          ("ring1", Ntcs_sim.Net.Mbx_ring);
+          ("lan2", Ntcs_sim.Net.Tcp_lan);
+          ("ring3", Ntcs_sim.Net.Mbx_ring);
+        ]
+      ~machines:
+        [
+          ("ns-m", Ntcs_sim.Machine.Vax, [ "lan0" ]);
+          ("client-m", Ntcs_sim.Machine.Sun3, [ "lan0" ]);
+          ("gw-m0", Ntcs_sim.Machine.Sun3, [ "lan0"; "ring1" ]);
+          ("gw-m1", Ntcs_sim.Machine.Apollo, [ "ring1"; "lan2" ]);
+          ("gw-m2", Ntcs_sim.Machine.Sun3, [ "lan2"; "ring3" ]);
+          ("srv-m", Ntcs_sim.Machine.Vax, [ "ring3" ]);
+        ]
+      ~gateways:
+        [
+          ("gw0", "gw-m0", [ "lan0"; "ring1" ]);
+          ("gw1", "gw-m1", [ "ring1"; "lan2" ]);
+          ("gw2", "gw-m2", [ "lan2"; "ring3" ]);
+        ]
+      ~ns:"ns-m" ()
+  in
+  Cluster.settle c;
+  spawn_echo c ~machine:"srv-m" ~name:"echo";
+  Cluster.settle c;
+  let replies = ref 0 in
+  ignore
+    (Cluster.spawn c ~machine:"client-m" ~name:"client" (fun node ->
+         let commod = bind_exn node ~name:"client" in
+         let dst = check_ok "locate" (Ali_layer.locate commod "echo") in
+         for i = 1 to 5 do
+           let msg = "m" ^ string_of_int i in
+           let env = check_ok "hetero echo" (Ali_layer.send_sync commod ~dst (raw msg)) in
+           Alcotest.(check string) "echo" ("echo:" ^ msg) (body env);
+           incr replies
+         done));
+  Cluster.settle ~dt:10_000_000 c;
+  Alcotest.(check int) "all replies" 5 !replies;
+  let entries = Ntcs_sim.Trace.entries (Ntcs_sim.World.trace (Cluster.world c)) in
+  Alcotest.(check bool) "packed mode on the wire" true
+    (List.exists
+       (fun e ->
+         e.Ntcs_sim.Trace.cat = "ip.convert"
+         && String.length e.Ntcs_sim.Trace.detail >= 11
+         && String.sub e.Ntcs_sim.Trace.detail 0 11 = "mode=packed")
+       entries);
+  ( Fmt.str "%a" Ntcs_sim.Trace.dump (Ntcs_sim.World.trace (Cluster.world c)),
+    Ntcs_obs.Export.spans_jsonl (Cluster.metrics c) )
+
+let check_digest label want text =
+  Alcotest.(check string) label want (Digest.to_hex (Digest.string text))
+
+let test_rendered_golden () =
+  let trace, _, _, _, spans = run_once 42 in
+  check_digest "run_once 42 trace" "5a289c0fb08924345e654dcf52e09c16" trace;
+  check_digest "run_once 42 spans" "4837e7ee04d0961ddc63f67ba3366f5a" spans;
+  let trace, spans = run_hetero 42 in
+  check_digest "3-gateway hetero trace" "2ac218ed5ae281cfa3232dba4068ee73" trace;
+  check_digest "3-gateway hetero spans" "bea52a90f31692c6e63da66cb61c9f86" spans
+
 let () =
   Alcotest.run "determinism"
     [
@@ -144,5 +215,6 @@ let () =
           Alcotest.test_case "same seed, same faulty bytes" `Quick test_faulty_trace_identical;
           Alcotest.test_case "different seed differs" `Quick test_seed_matters;
           Alcotest.test_case "R3 invariants hold" `Quick test_r3_invariants_hold;
+          Alcotest.test_case "rendered telemetry digests" `Quick test_rendered_golden;
         ] );
     ]

@@ -17,8 +17,7 @@ let test_addr_words_roundtrip () =
   in
   List.iter
     (fun a ->
-      let w = Addr.to_words a in
-      Alcotest.check addr "roundtrip" a (Addr.of_words w.(0) w.(1)))
+      Alcotest.check addr "roundtrip" a (Addr.of_words (Addr.space_word a) (Addr.value_word a)))
     cases
 
 let test_addr_kinds () =
@@ -183,6 +182,146 @@ let test_ns_proto_roundtrips () =
       | Error m -> Alcotest.fail m)
     resps
 
+(* --- wire golden: bytes and errors pinned --- *)
+
+(* The expected words and messages were captured from the earlier
+   array-based codec; a change to any wire byte or error text fails here. *)
+
+(* Hex, one space between 4-byte words. *)
+let hex b =
+  String.concat " "
+    (List.init
+       ((Bytes.length b + 3) / 4)
+       (fun w ->
+         String.concat ""
+           (List.init
+              (min 4 (Bytes.length b - (4 * w)))
+              (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b ((4 * w) + i))))))
+
+let spanned_data =
+  Proto.make_header ~kind:Proto.Data
+    ~src:(Addr.unique ~server_id:3 ~value:77)
+    ~dst:(Addr.unique ~server_id:5 ~value:0x12345678)
+    ~mode:Convert.Image ~src_order:Endian.Be ~hops:2 ~seq:41 ~conv:9 ~app_tag:1234 ~ivc:7
+    ~span:(Ntcs_obs.Span.make ~circuit:12 ~seq:5)
+    ~payload_len:3 ()
+
+let tadd_hello =
+  Proto.make_header ~kind:Proto.Hello
+    ~src:(Addr.temporary ~assigner:17 ~value:1)
+    ~dst:(Addr.temporary ~assigner:0 ~value:0)
+    ~src_order:Endian.Le ~payload_len:40 ()
+
+let ivc_close =
+  Proto.make_header ~kind:Proto.Ivc_close
+    ~src:(Addr.unique ~server_id:0x3FFFFFFF ~value:0xFFFFFFFF)
+    ~dst:(Addr.temporary ~assigner:0x3FFFFFFF ~value:2)
+    ~ivc:0xFFFFFFFF ~payload_len:0 ()
+
+let test_golden_headers () =
+  List.iter
+    (fun (label, h, want) ->
+      let b = Proto.encode_header h in
+      Alcotest.(check string) label want (hex b);
+      Alcotest.(check bool) (label ^ " decodes back") true (Proto.decode_header b = h))
+    [
+      ( "spanned data",
+        spanned_data,
+        "4e540100 00000003 0000004d 00000005 12345678 01020000 00000029 00000009 000004d2 00000007 00000003 0000000c 00000005" );
+      ( "tadd hello",
+        tadd_hello,
+        "4e540103 80000011 00000001 80000000 00000000 10000000 00000000 00000000 00000000 00000000 00000028 00000000 00000000" );
+      ( "ivc close",
+        ivc_close,
+        "4e540108 3fffffff ffffffff bfffffff 00000002 11000000 00000000 00000000 00000000 ffffffff 00000000 00000000 00000000" );
+    ]
+
+let test_golden_patched_frame () =
+  let v = Proto.Frame.of_parts spanned_data (Bytes.of_string "abc") in
+  Proto.Frame.patch_ivc v 0xCAFE;
+  Proto.Frame.patch_hops v 3;
+  Alcotest.(check string) "patched bytes"
+    "4e540100 00000003 0000004d 00000005 12345678 01030000 00000029 00000009 000004d2 0000cafe 00000003 0000000c 00000005 616263"
+    (hex (Proto.Frame.to_bytes v));
+  let fresh = Proto.Frame.header (Proto.Frame.of_bytes (Proto.Frame.to_bytes v)) in
+  Alcotest.(check bool) "memoised header agrees with a fresh decode" true
+    (fresh = Proto.Frame.header v && fresh.Proto.ivc = 0xCAFE && fresh.Proto.hops = 3)
+
+let outcome f =
+  match f () with
+  | () -> "ok"
+  | exception Proto.Bad_header m -> "Bad_header: " ^ m
+  | exception Shift.Shift_error m -> "Shift_error: " ^ m
+
+let test_golden_errors () =
+  let frame = Proto.encode_frame spanned_data (Bytes.of_string "abc") in
+  (* Bytes 0-1 magic, 2 version, 3 kind, 20 mode (high nibble) and order. *)
+  let with_bytes changes =
+    let b = Bytes.copy frame in
+    List.iter (fun (i, c) -> Bytes.set_uint8 b i c) changes;
+    b
+  in
+  let decode changes () = ignore (Proto.decode_header (with_bytes changes)) in
+  let decode_prefix n () = ignore (Proto.decode_header (Bytes.sub frame 0 n)) in
+  let view b () = ignore (Proto.Frame.header (Proto.Frame.of_bytes b)) in
+  let encode h () = ignore (Proto.encode_header h) in
+  let patch_hops n () = Proto.Frame.patch_hops (Proto.Frame.of_bytes (Bytes.copy frame)) n in
+  List.iter
+    (fun (label, f, want) -> Alcotest.(check string) label want (outcome f))
+    [
+      ( "empty",
+        decode_prefix 0,
+        "Bad_header: short header" );
+      ( "one byte short",
+        decode_prefix (Proto.header_bytes - 1),
+        "Bad_header: short header" );
+      ( "short view",
+        view (Bytes.sub frame 0 (Proto.header_bytes - 1)),
+        "Bad_header: view [0,+51) does not hold a frame in 51 bytes" );
+      ( "bad magic",
+        decode [ (0, 0x4F) ],
+        "Bad_header: bad magic" );
+      ( "bad version",
+        decode [ (2, 2) ],
+        "Bad_header: unsupported version 2" );
+      ( "bad kind",
+        decode [ (3, 11) ],
+        "Bad_header: unknown message kind 11" );
+      ( "bad mode",
+        decode [ (20, 0xF1) ],
+        "Bad_header: unknown conversion mode 15" );
+      ( "bad order",
+        decode [ (20, 0x07) ],
+        "Bad_header: unknown byte order tag 7" );
+      ( "bad mode and order",
+        decode [ (20, 0xF7) ],
+        "Bad_header: unknown byte order tag 7" );
+      ( "bad version and kind",
+        decode [ (2, 2); (3, 11) ],
+        "Bad_header: unsupported version 2" );
+      ( "bad kind and mode",
+        decode [ (3, 11); (20, 0xF7) ],
+        "Bad_header: unknown message kind 11" );
+      ( "view length mismatch",
+        view (Bytes.cat frame (Bytes.of_string "z")),
+        "Bad_header: view length 56 does not match header payload_len 3" );
+      ( "hops 256",
+        encode { spanned_data with Proto.hops = 256 },
+        "Bad_header: hop count 256 outside the 8-bit field (loop-detection E7 must not wrap)" );
+      ( "seq over 32 bits",
+        encode { spanned_data with Proto.seq = 1 lsl 32 },
+        "Shift_error: value 4294967296 does not fit an unsigned 32-bit word" );
+      ( "negative conv",
+        encode { spanned_data with Proto.conv = -1 },
+        "Shift_error: value -1 does not fit an unsigned 32-bit word" );
+      ( "patch hops 256",
+        patch_hops 256,
+        "Bad_header: hop count 256 outside the 8-bit field" );
+      ( "patch hops 255",
+        patch_hops 255,
+        "ok" );
+    ]
+
 let () =
   Alcotest.run "ntcs_proto"
     [
@@ -197,6 +336,12 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_header_roundtrip;
           Alcotest.test_case "all kinds" `Quick test_all_kinds_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_header_rejects_garbage;
+        ] );
+      ( "wire golden",
+        [
+          Alcotest.test_case "header bytes" `Quick test_golden_headers;
+          Alcotest.test_case "patched frame bytes" `Quick test_golden_patched_frame;
+          Alcotest.test_case "decode and encode errors" `Quick test_golden_errors;
         ] );
       ( "control",
         [

@@ -165,41 +165,45 @@ let test_packed_tagged () =
 
 (* --- shift mode --- *)
 
+let encode_words words =
+  let buf = Buffer.create 16 in
+  Array.iter (Shift.put_word buf) words;
+  Buffer.to_bytes buf
+
 let test_shift_words () =
   let words = [| 0; 1; 0xFFFFFFFF; 0x80000000; 0x12345678 |] in
-  let b = Shift.encode_words words in
+  let b = encode_words words in
   Alcotest.(check int) "4 bytes per word" (4 * Array.length words) (Bytes.length b);
-  let back = Shift.decode_words b ~off:0 ~count:(Array.length words) in
-  Alcotest.(check (array int)) "roundtrip" words back
+  let back = Array.init (Array.length words) (fun i -> Shift.get_word b (4 * i)) in
+  Alcotest.(check (array int)) "roundtrip" words back;
+  let patched = Bytes.copy b in
+  Shift.poke_word patched 8 0xDEADBEEF;
+  Alcotest.(check int) "poked word" 0xDEADBEEF (Shift.get_word patched 8);
+  Alcotest.(check int) "neighbour intact" 1 (Shift.get_word patched 4)
 
 let test_shift_is_order_free () =
   (* Shift mode always produces the same byte sequence — no host order
      involved, by construction. *)
-  let b = Shift.encode_words [| 0x01020304 |] in
+  let b = encode_words [| 0x01020304 |] in
   Alcotest.(check string) "canonical bytes" "\x01\x02\x03\x04" (Bytes.to_string b)
 
 let test_shift_errors () =
+  let raises f = match f () with exception Shift.Shift_error _ -> true | _ -> false in
   Alcotest.(check bool) "word too large" true
-    (match Shift.encode_words [| 1 lsl 32 |] with
-     | exception Shift.Shift_error _ -> true
-     | _ -> false);
-  Alcotest.(check bool) "negative word" true
-    (match Shift.encode_words [| -1 |] with exception Shift.Shift_error _ -> true | _ -> false);
+    (raises (fun () -> encode_words [| 1 lsl 32 |]));
+  Alcotest.(check bool) "negative word" true (raises (fun () -> encode_words [| -1 |]));
   Alcotest.(check bool) "truncated read" true
-    (match Shift.decode_words (Bytes.create 3) ~off:0 ~count:1 with
-     | exception Shift.Shift_error _ -> true
-     | _ -> false)
-
-let test_bitfields () =
-  let word = Shift.pack_bits [ (0xAB, 8); (0x3, 4); (0x7FF, 12); (0xFF, 8) ] in
-  Alcotest.(check (list int)) "unpack" [ 0xAB; 0x3; 0x7FF; 0xFF ]
-    (Shift.unpack_bits word [ 8; 4; 12; 8 ]);
-  Alcotest.(check bool) "sum must be 32" true
-    (match Shift.pack_bits [ (1, 8) ] with exception Shift.Shift_error _ -> true | _ -> false);
-  Alcotest.(check bool) "value must fit" true
-    (match Shift.pack_bits [ (256, 8); (0, 24) ] with
-     | exception Shift.Shift_error _ -> true
-     | _ -> false)
+    (raises (fun () -> Shift.get_word (Bytes.create 3) 0));
+  Alcotest.(check bool) "read past the end" true
+    (raises (fun () -> Shift.get_word (Bytes.create 8) 5));
+  (* A negative offset is a Shift_error too, never Invalid_argument from
+     the byte access underneath: frame readers catch only Shift_error. *)
+  Alcotest.(check bool) "negative read offset" true
+    (raises (fun () -> Shift.get_word (Bytes.create 8) (-1)));
+  Alcotest.(check bool) "poke outside" true
+    (raises (fun () -> Shift.poke_word (Bytes.create 4) 1 0));
+  Alcotest.(check bool) "negative poke offset" true
+    (raises (fun () -> Shift.poke_word (Bytes.create 8) (-4) 0))
 
 (* --- mode selection --- *)
 
@@ -310,7 +314,6 @@ let () =
           Alcotest.test_case "words" `Quick test_shift_words;
           Alcotest.test_case "order free" `Quick test_shift_is_order_free;
           Alcotest.test_case "errors" `Quick test_shift_errors;
-          Alcotest.test_case "bitfields" `Quick test_bitfields;
           Alcotest.test_case "headers across all machine pairs" `Quick
             test_header_roundtrip_all_machine_pairs;
         ] );
