@@ -13,7 +13,11 @@
    - [Queued] means a resume event is already in the heap; killing such a
      proc just flips the pending resume to a discontinue;
    - resume events re-check the proc state when they fire, so a stale event
-     (e.g. after a kill already executed) cannot resume a dead proc. *)
+     (e.g. after a kill already executed) cannot resume a dead proc;
+   - a timed wait parks its timer event in the proc, and [resume_proc]
+     takes it out of the heap if it has not fired: however the wait ends
+     (wake, kill or the timeout itself), the heap keeps only events that
+     can still do something. *)
 
 exception Killed
 (* Raised inside a process when it is killed; lets Fun.protect finalizers run. *)
@@ -72,7 +76,9 @@ type t = {
   mutable now : int; (* virtual microseconds *)
   mutable label : string; (* shard tag ("s0", "s1", …) in parallel worlds *)
   mutable next_seq : int;
-  events : event Ntcs_util.Heap.t;
+  mutable heap : event array; (* binary min-heap on (time, seq) *)
+  mutable size : int;
+  no_event : event; (* fills free heap slots and idle timers; never queued *)
   procs : (pid, proc) Hashtbl.t;
   mutable next_pid : int;
   mutable current : proc option;
@@ -85,7 +91,14 @@ type t = {
   mutable cells : cell list; (* registered shared cells, newest first *)
 }
 
-and event = { time : int; seq : int; owner : int; tag : int; thunk : unit -> unit }
+and event = {
+  time : int;
+  seq : int;
+  owner : int;
+  tag : int;
+  thunk : unit -> unit;
+  mutable slot : int; (* index in [heap]; -1 once run or cancelled *)
+}
 
 and proc = {
   pid : pid;
@@ -93,6 +106,7 @@ and proc = {
   sched : t;
   mutable state : proc_state;
   mutable susp_seq : int; (* per-proc suspension counter (no ambient state) *)
+  mutable timer : event; (* the current wait's timeout, else [no_event] *)
   mutable on_exit : (exit_status -> unit) list;
   mutable exit_status : exit_status option;
 }
@@ -113,12 +127,14 @@ type waker = { w_proc : proc; w_susp_id : int }
 type _ Effect.t += Suspend : (waker -> unit) -> unit Effect.t
 
 let create () =
-  let leq a b = a.time < b.time || (a.time = b.time && a.seq <= b.seq) in
+  let no_event = { time = max_int; seq = -1; owner = 0; tag = 0; thunk = ignore; slot = -1 } in
   {
     now = 0;
     label = "";
     next_seq = 0;
-    events = Ntcs_util.Heap.create ~leq;
+    heap = Array.make 16 no_event;
+    size = 0;
+    no_event;
     procs = Hashtbl.create 64;
     next_pid = 1;
     current = None;
@@ -136,12 +152,68 @@ let now t = t.now
 let set_label t l = t.label <- l
 let label t = t.label
 
+(* --- the event heap ---
+
+   Sequence numbers are unique, so (time, seq) is a strict total order and
+   any valid heap pops the same sequence. Sifts move a hole rather than
+   swapping, and every placement records the event's slot so a pending
+   timeout can be cancelled in O(log n). *)
+
+let before a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+
+let place h i ev =
+  h.(i) <- ev;
+  ev.slot <- i
+
+let rec sift_up h i ev =
+  let p = (i - 1) / 2 in
+  if i > 0 && before ev h.(p) then begin
+    place h i h.(p);
+    sift_up h p ev
+  end
+  else place h i ev
+
+let rec sift_down h n i ev =
+  let l = (2 * i) + 1 in
+  let c = if l + 1 < n && before h.(l + 1) h.(l) then l + 1 else l in
+  if c < n && before h.(c) ev then begin
+    place h i h.(c);
+    sift_down h n c ev
+  end
+  else place h i ev
+
+let push t ev =
+  let n = t.size in
+  if n = Array.length t.heap then begin
+    let h = Array.make (2 * n) t.no_event in
+    Array.blit t.heap 0 h 0 n;
+    t.heap <- h
+  end;
+  t.size <- n + 1;
+  sift_up t.heap n ev
+
+(* Take [ev] out of the heap: the last event fills its slot and sifts
+   whichever way restores the order. Freed slots drop their reference so
+   a dead event's closure does not outlive it. *)
+let remove t ev =
+  let h = t.heap and i = ev.slot and n = t.size - 1 in
+  let last = h.(n) in
+  h.(n) <- t.no_event;
+  t.size <- n;
+  ev.slot <- -1;
+  if i < n then
+    if i > 0 && before last h.((i - 1) / 2) then sift_up h i last else sift_down h n i last
+
+let pop_min t =
+  let ev = t.heap.(0) in
+  remove t ev;
+  ev
+
+let pending_events t = t.size
+
 (* Earliest pending event, if any — the barrier coordinator's horizon
    input. Peeking never disturbs the heap. *)
-let next_event_time t =
-  match Ntcs_util.Heap.peek t.events with
-  | Some ev -> Some ev.time
-  | None -> None
+let next_event_time t = if t.size = 0 then None else Some t.heap.(0).time
 
 let set_event_limit t n = t.max_events <- n
 
@@ -183,7 +255,7 @@ let access t cell ~write =
    order). Events scheduled outside any process inherit the owner of the
    event being executed, so e.g. a delivery thunk's wakes belong to the
    process it wakes, not to limbo. *)
-let at_owned t ~owner time thunk =
+let schedule t ~owner time thunk =
   let time = if time < t.now then t.now else time in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
@@ -192,7 +264,11 @@ let at_owned t ~owner time thunk =
     | None -> 0
     | Some m -> m.m_push ~pusher:(current_owner t) ~owner
   in
-  Ntcs_util.Heap.push t.events { time; seq; owner; tag; thunk }
+  let ev = { time; seq; owner; tag; thunk; slot = -1 } in
+  push t ev;
+  ev
+
+let at_owned t ~owner time thunk = ignore (schedule t ~owner time thunk)
 
 let at t time thunk = at_owned t ~owner:(current_owner t) time thunk
 
@@ -252,6 +328,11 @@ let start_proc proc f =
 let resume_proc proc =
   match proc.state with
   | Queued q ->
+    let timer = proc.timer in
+    if timer != proc.sched.no_event then begin
+      if timer.slot >= 0 then remove proc.sched timer;
+      proc.timer <- proc.sched.no_event
+    end;
     proc.state <- Running;
     proc.sched.current <- Some proc;
     (match q.kind with
@@ -272,6 +353,19 @@ let wake w =
     at_owned proc.sched ~owner:proc.pid proc.sched.now (fun () -> resume_proc proc)
   | Embryo _ | Running | Suspended _ | Queued _ | Dead -> ()
 
+(* Is [w] still the live handle of a wait? False once the wait has been
+   woken, timed out or killed. *)
+let waiting w =
+  match w.w_proc.state with
+  | Suspended s -> s.susp_id = w.w_susp_id
+  | Embryo _ | Running | Queued _ | Dead -> false
+
+(* Bound the wait [w] belongs to: wake it after [d] unless it ends first,
+   in which case [resume_proc] cancels the timer. Called from a suspend
+   registration, like [sleep]'s timer. *)
+let arm_timeout t w d =
+  w.w_proc.timer <- schedule t ~owner:(current_owner t) (t.now + d) (fun () -> wake w)
+
 let spawn ?(name = "proc") ?(at_time = -1) t f =
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
@@ -282,6 +376,7 @@ let spawn ?(name = "proc") ?(at_time = -1) t f =
       sched = t;
       state = Embryo f;
       susp_seq = 0;
+      timer = t.no_event;
       on_exit = [];
       exit_status = None;
     }
@@ -371,29 +466,24 @@ let exec_event t ev =
     Printexc.raise_with_backtrace exn bt
 
 let step t =
-  match t.chooser with
-  | None -> (
-    match Ntcs_util.Heap.pop t.events with
-    | None -> false
-    | Some ev ->
-      exec_event t ev;
-      true)
-  | Some choose -> (
-    (* Exploration mode: collect every event due at the minimum time, group
-       them by owner (heap order keeps each owner's events in seq order), and
-       let the chooser pick which owner makes progress. Only the chosen
-       owner's *first* event runs; everything else goes back on the heap with
-       its original key, so per-owner order is untouched. With a chooser that
-       always answers 0 this is byte-for-byte the default schedule. *)
-    match Ntcs_util.Heap.pop t.events with
-    | None -> false
-    | Some first ->
+  if t.size = 0 then false
+  else
+    match t.chooser with
+    | None ->
+      exec_event t (pop_min t);
+      true
+    | Some choose ->
+      (* Exploration mode: collect every event due at the minimum time, group
+         them by owner (heap order keeps each owner's events in seq order),
+         and let the chooser pick which owner makes progress. Only the chosen
+         owner's *first* event runs; everything else goes back on the heap
+         with its original key, so per-owner order is untouched. With a
+         chooser that always answers 0 this is byte-for-byte the default
+         schedule. *)
+      let first = pop_min t in
       let rec gather acc =
-        match Ntcs_util.Heap.peek t.events with
-        | Some ev when ev.time = first.time ->
-          ignore (Ntcs_util.Heap.pop t.events);
-          gather (ev :: acc)
-        | _ -> List.rev acc
+        if t.size > 0 && t.heap.(0).time = first.time then gather (pop_min t :: acc)
+        else List.rev acc
       in
       let batch = first :: gather [] in
       let owners =
@@ -411,19 +501,13 @@ let step t =
           arr.(i)
       in
       let ev = List.find (fun e -> e.owner = chosen_owner) batch in
-      List.iter (fun e -> if e != ev then Ntcs_util.Heap.push t.events e) batch;
+      List.iter (fun e -> if e != ev then push t e) batch;
       exec_event t ev;
-      true)
+      true
 
 let run ?until t =
-  let continue_ () =
-    match until with
-    | None -> true
-    | Some u -> ( match Ntcs_util.Heap.peek t.events with
-      | Some ev -> ev.time <= u
-      | None -> false)
-  in
-  while (not (Ntcs_util.Heap.is_empty t.events)) && continue_ () do
+  let limit = match until with None -> max_int | Some u -> u in
+  while t.size > 0 && t.heap.(0).time <= limit do
     ignore (step t)
   done;
   match until with
@@ -457,7 +541,7 @@ let blocked_processes t =
 (* --- Ivar: write-once cell --- *)
 
 module Ivar = struct
-  type 'a state = Empty of (waker * 'a option ref) list | Full of 'a
+  type 'a state = Empty of waker list | Full of 'a
 
   type 'a ivar = { iv_sched : t; mutable iv : 'a state }
 
@@ -468,11 +552,7 @@ module Ivar = struct
     | Full _ -> invalid_arg "Ivar.fill: already filled"
     | Empty waiters ->
       ivar.iv <- Full v;
-      List.iter
-        (fun (w, cell) ->
-          cell := Some v;
-          wake w)
-        (List.rev waiters)
+      List.iter wake (List.rev waiters)
 
   let try_fill ivar v = match ivar.iv with
     | Full _ -> false
@@ -482,29 +562,27 @@ module Ivar = struct
 
   let peek ivar = match ivar.iv with Full v -> Some v | Empty _ -> None
 
-  (* Blocking read with optional timeout (in virtual microseconds). *)
+  (* Blocking read with optional timeout (in virtual microseconds). The
+     reader finds the value in the ivar itself when it resumes: still empty
+     means the timeout won. *)
   let read ?timeout ivar =
     match ivar.iv with
     | Full v -> Some v
-    | Empty _ ->
-      let cell = ref None in
+    | Empty _ -> (
       suspend (fun w ->
           (match ivar.iv with
-           | Full v ->
-             (* Filled between the check and the suspension: wake at once. *)
-             cell := Some v;
-             wake w
-           | Empty waiters -> ivar.iv <- Empty ((w, cell) :: waiters));
+           | Full _ -> wake w (* filled between the check and the suspension *)
+           | Empty waiters -> ivar.iv <- Empty (w :: waiters));
           match timeout with
           | None -> ()
-          | Some d -> after ivar.iv_sched d (fun () -> wake w));
-      !cell
+          | Some d -> arm_timeout ivar.iv_sched w d);
+      peek ivar)
 end
 
 (* --- Mailbox: unbounded many-writer single-or-multi-reader queue --- *)
 
 module Mailbox = struct
-  type 'a waiter = { mutable live : bool; mb_waker : waker; mb_cell : 'a option ref }
+  type 'a waiter = { mb_waker : waker; mb_cell : 'a option ref }
 
   type 'a mb = {
     mb_sched : t;
@@ -516,20 +594,21 @@ module Mailbox = struct
 
   let length mb = Queue.length mb.q
 
-  let rec pop_waiter mb =
-    match mb.waiters with
-    | [] -> None
-    | w :: rest ->
-      mb.waiters <- rest;
-      if w.live then Some w else pop_waiter mb
+  (* A waiter whose recv already ended — timed out, or its process was
+     killed — must never be handed a message. *)
+  let rec drop_stale = function
+    | w :: rest when not (waiting w.mb_waker) -> drop_stale rest
+    | ws -> ws
 
   let send mb v =
-    match pop_waiter mb with
-    | Some w ->
-      w.live <- false;
+    match drop_stale mb.waiters with
+    | w :: rest ->
+      mb.waiters <- rest;
       w.mb_cell := Some v;
       wake w.mb_waker
-    | None -> Queue.push v mb.q
+    | [] ->
+      mb.waiters <- [];
+      Queue.push v mb.q
 
   let recv ?timeout mb =
     match Queue.take_opt mb.q with
@@ -537,16 +616,10 @@ module Mailbox = struct
     | None ->
       let cell = ref None in
       suspend (fun w ->
-          let waiter = { live = true; mb_waker = w; mb_cell = cell } in
-          mb.waiters <- mb.waiters @ [ waiter ];
+          mb.waiters <- mb.waiters @ [ { mb_waker = w; mb_cell = cell } ];
           match timeout with
           | None -> ()
-          | Some d ->
-            after mb.mb_sched d (fun () ->
-                if waiter.live then begin
-                  waiter.live <- false;
-                  wake w
-                end));
+          | Some d -> arm_timeout mb.mb_sched w d);
       !cell
 
   let recv_opt mb = Queue.take_opt mb.q

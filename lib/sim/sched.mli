@@ -69,6 +69,11 @@ val next_event_time : t -> int option
 (** Virtual time of the earliest pending event, without disturbing the
     heap — the barrier coordinator's horizon input. [None] when idle. *)
 
+val pending_events : t -> int
+(** Events in the heap right now. Every one of them can still do
+    something: a timed wait's timeout is removed the moment the wait ends,
+    so this stays proportional to the live work, not to timeout ÷ RTT. *)
+
 val set_event_limit : t -> int -> unit
 (** Abort the run with {!Event_limit_exceeded} after this many events
     (0 = unlimited). A backstop for runaway-recursion experiments. *)
@@ -215,7 +220,8 @@ module Ivar : sig
   val peek : 'a ivar -> 'a option
 
   val read : ?timeout:int -> 'a ivar -> 'a option
-  (** Block until filled; [None] on timeout (virtual µs). *)
+  (** Block until filled; [None] on timeout (virtual µs). A read that ends
+      before its timeout cancels the timer. *)
 end
 
 (** Unbounded FIFO mailbox with blocking receive. *)
@@ -229,7 +235,9 @@ module Mailbox : sig
   (** Delivers to the oldest waiting receiver, else enqueues. *)
 
   val recv : ?timeout:int -> 'a mb -> 'a option
-  (** Block for the next message; [None] on timeout. *)
+  (** Block for the next message; [None] on timeout. A receive that ends
+      before its timeout cancels the timer; one that ends by timeout or
+      kill is never handed a later message. *)
 
   val recv_opt : 'a mb -> 'a option
   (** Non-blocking. *)

@@ -3,7 +3,6 @@
    when it needs a deterministic walk over a hash table. *)
 
 module Bqueue = Bqueue
-module Heap = Heap
 module Lru = Lru
 module Metrics = Metrics
 module Pool = Pool

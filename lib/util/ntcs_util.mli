@@ -8,7 +8,6 @@
     keeps it that way). *)
 
 module Bqueue = Bqueue
-module Heap = Heap
 module Lru = Lru
 module Metrics = Metrics
 module Pool = Pool

@@ -229,6 +229,25 @@ let test_explorer_reports_failures () =
      Alcotest.(check (list int)) "on the swapped schedule" [ 1 ] path
    | fs -> Alcotest.failf "expected one failure, got %d" (List.length fs))
 
+let test_explorer_skips_cancelled_timeouts () =
+  (* The reader's value arrives at 50, long before its timeout at 100. A
+     timer left in the heap would tie with the sleeper's wake at 100 and
+     double the schedules; cancelled, it is no choice point at all. *)
+  let make () =
+    let s = Ntcs_sim.Sched.create () in
+    let iv = Ntcs_sim.Sched.Ivar.create s in
+    ignore
+      (Ntcs_sim.Sched.spawn ~name:"reader" s (fun () ->
+           ignore (Ntcs_sim.Sched.Ivar.read ~timeout:100 iv)));
+    ignore
+      (Ntcs_sim.Sched.spawn ~name:"sleeper" ~at_time:1 s (fun () -> Ntcs_sim.Sched.sleep s 99));
+    Ntcs_sim.Sched.at s 50 (fun () -> Ntcs_sim.Sched.Ivar.fill iv ());
+    (s, fun () -> Ntcs_sim.Sched.run_until_quiescent s; [])
+  in
+  let o = Ntcs_sim.Explore.run ~make () in
+  Alcotest.(check int) "one schedule" 1 o.Ntcs_sim.Explore.schedules;
+  Alcotest.(check int) "no choice point" 0 o.Ntcs_sim.Explore.choice_points
+
 (* --- monitor neutrality over the scenario registry --- *)
 
 (* Arming the sanitizer and the race checker must not perturb a single
@@ -304,6 +323,8 @@ let () =
           Alcotest.test_case "enumerates all orders" `Quick test_explorer_enumerates_all_orders;
           Alcotest.test_case "budget truncates" `Quick test_explorer_budget_truncates;
           Alcotest.test_case "failures carry the path" `Quick test_explorer_reports_failures;
+          Alcotest.test_case "cancelled timeouts do not branch" `Quick
+            test_explorer_skips_cancelled_timeouts;
         ] );
       (* The sanitizer-off byte-identical-trace guarantee: equal seeds,
          equal bytes, with every monitor disarmed. *)

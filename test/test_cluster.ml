@@ -102,6 +102,41 @@ let test_partition_heal_roundtrip () =
   Cluster.heal c "ether";
   Alcotest.(check bool) "up" true (Cluster.net c "ether").Ntcs_sim.Net.up
 
+(* Every send_sync arms the LCM's 3 s deadline and gets its reply within
+   about a millisecond. Cancelled on wake, those timers never pile up: the
+   heap holds only the handful of events the exchange in flight needs. A
+   monitor samples the heap before every event of the run. *)
+let test_heap_bounded_under_send_sync () =
+  let c = two_net_cluster () in
+  Cluster.settle c;
+  spawn_echo c ~machine:"ap1" ~name:"svc";
+  Cluster.settle c;
+  let sched = Ntcs_sim.World.sched (Cluster.world c) in
+  let high_water = ref 0 in
+  Ntcs_sim.Sched.set_monitor sched
+    (Some
+       {
+         Ntcs_sim.Sched.m_push = (fun ~pusher:_ ~owner:_ -> 0);
+         m_exec =
+           (fun ~tag:_ ~owner:_ ~time:_ ->
+             high_water := max !high_water (Ntcs_sim.Sched.pending_events sched));
+         m_access = (fun _ ~owner:_ ~write:_ ~time:_ -> ());
+       });
+  let calls = 2_000 in
+  let completed =
+    in_process c ~machine:"vax1" ~name:"client" (fun node ->
+        let commod = bind_exn node ~name:"client" in
+        let addr = check_ok "locate" (Ali_layer.locate commod "svc") in
+        for _ = 1 to calls do
+          ignore (check_ok "send_sync" (Ali_layer.send_sync commod ~dst:addr (raw "x")))
+        done;
+        calls)
+  in
+  Cluster.settle ~dt:30_000_000 c;
+  Alcotest.(check int) "every call answered" calls (completed ());
+  if !high_water > 16 then
+    Alcotest.failf "%d events pending at once, bound 16" !high_water
+
 let () =
   Alcotest.run "cluster"
     [
@@ -119,5 +154,7 @@ let () =
           Alcotest.test_case "settle advances time" `Quick test_settle_advances_time;
           Alcotest.test_case "seed determinism" `Quick test_seed_determinism_end_to_end;
           Alcotest.test_case "partition/heal" `Quick test_partition_heal_roundtrip;
+          Alcotest.test_case "heap bounded under send_sync" `Quick
+            test_heap_bounded_under_send_sync;
         ] );
     ]

@@ -165,11 +165,15 @@ let prop_header_roundtrip =
 
 (* --- containers --- *)
 
+(* The scheduler's event heap: events run in (time, push order), and a
+   cancelled timeout leaves the heap holding exactly the other events. *)
 let prop_heap_sorts =
-  qtest "heap drains sorted" QCheck.(list int) (fun l ->
-      let h = Ntcs_util.Heap.create ~leq:(fun a b -> a <= b) in
-      List.iter (Ntcs_util.Heap.push h) l;
-      Ntcs_util.Heap.to_list h = List.sort compare l)
+  qtest "heap drains sorted" QCheck.(list small_nat) (fun l ->
+      let s = Ntcs_sim.Sched.create () in
+      let log = ref [] in
+      List.iter (fun tm -> Ntcs_sim.Sched.at s tm (fun () -> log := tm :: !log)) l;
+      Ntcs_sim.Sched.run s;
+      List.rev !log = List.sort compare l)
 
 let prop_lru_capacity =
   qtest "lru never exceeds capacity" QCheck.(pair (int_range 1 16) (list (pair small_int small_int)))
@@ -193,13 +197,52 @@ let prop_heap_equal_keys_fifo =
   qtest "heap with (key, seq) tie-break drains equal keys in insertion order"
     QCheck.(list (int_bound 3))
     (fun keys ->
-      (* The simulator's usage pattern: stability comes from the (time,
-         sequence) key, so equal times must drain in push order. *)
-      let h =
-        Ntcs_util.Heap.create ~leq:(fun (a, sa) (b, sb) -> a < b || (a = b && sa <= sb))
+      (* Stability comes from the (time, sequence) key, so equal times
+         must drain in push order. *)
+      let s = Ntcs_sim.Sched.create () in
+      let log = ref [] in
+      List.iteri (fun i k -> Ntcs_sim.Sched.at s k (fun () -> log := (k, i) :: !log)) keys;
+      Ntcs_sim.Sched.run s;
+      List.rev !log = List.sort compare (List.mapi (fun i k -> (k, i)) keys))
+
+let prop_heap_cancel_removes_one =
+  qtest "heap cancel removes exactly one event"
+    QCheck.(list (pair (int_range 1 50) bool))
+    (fun waits ->
+      (* One timed reader per entry; the [true] ones are filled at time 0,
+         one at a time, and each resume must take out exactly its own
+         timer. The rest time out in (deadline, spawn) order. *)
+      let module S = Ntcs_sim.Sched in
+      let s = S.create () in
+      let timed_out = ref [] in
+      let ivars =
+        List.mapi
+          (fun i (d, _) ->
+            let iv = S.Ivar.create s in
+            ignore
+              (S.spawn s (fun () ->
+                   match S.Ivar.read ~timeout:d iv with
+                   | Some () -> ()
+                   | None -> timed_out := (S.now s, i) :: !timed_out));
+            iv)
+          waits
       in
-      List.iteri (fun i k -> Ntcs_util.Heap.push h (k, i)) keys;
-      Ntcs_util.Heap.to_list h = List.sort compare (List.mapi (fun i k -> (k, i)) keys))
+      S.run ~until:0 s;
+      let exact = ref (S.pending_events s = List.length waits) in
+      List.iter2
+        (fun iv (_, fill) ->
+          if fill then begin
+            let before = S.pending_events s in
+            S.Ivar.fill iv ();
+            ignore (S.step s);
+            if S.pending_events s <> before - 1 then exact := false
+          end)
+        ivars waits;
+      S.run s;
+      let expected =
+        List.concat (List.mapi (fun i (d, fill) -> if fill then [] else [ (d, i) ]) waits)
+      in
+      !exact && List.rev !timed_out = List.sort compare expected)
 
 let prop_lru_iter_preserves_recency =
   qtest "lru iter is recency order and does not perturb it"
@@ -419,9 +462,9 @@ let () =
       ("shift", [ prop_shift_roundtrip ]);
       ("protocol", [ prop_addr_roundtrip; prop_header_roundtrip ]);
       ( "containers",
-        [ prop_heap_sorts; prop_heap_equal_keys_fifo; prop_lru_capacity;
-          prop_lru_last_write_wins; prop_lru_iter_preserves_recency; prop_bqueue_fifo;
-          prop_stats_bounds ] );
+        [ prop_heap_sorts; prop_heap_equal_keys_fifo; prop_heap_cancel_removes_one;
+          prop_lru_capacity; prop_lru_last_write_wins; prop_lru_iter_preserves_recency;
+          prop_bqueue_fifo; prop_stats_bounds ] );
       ( "obs",
         [ prop_histo_bucket_bounds; prop_histo_buckets_partition; prop_histo_merge_assoc;
           prop_histo_merge_is_union; prop_histo_percentiles_bounded ] );

@@ -169,6 +169,48 @@ let test_ivar_timeout () =
   Sched.run s;
   Alcotest.(check (option int)) "timed out" None !out
 
+(* Regression: a receiver killed while blocked in [recv] must not swallow
+   the next message. *)
+let test_mailbox_killed_waiter () =
+  let s = Sched.create () in
+  let mb = Sched.Mailbox.create s in
+  let victim = Sched.spawn ~name:"victim" s (fun () -> ignore (Sched.Mailbox.recv mb)) in
+  Sched.run s;
+  Sched.kill s victim;
+  Sched.run s;
+  Sched.Mailbox.send mb 42;
+  Alcotest.(check int) "message queued, not handed to the dead" 1 (Sched.Mailbox.length mb);
+  let got = ref None in
+  let _ = Sched.spawn s (fun () -> got := Sched.Mailbox.recv ~timeout:100 mb) in
+  Sched.run s;
+  Alcotest.(check (option int)) "a later recv gets it" (Some 42) !got
+
+(* Every synchronous call arms a timeout far longer than the exchange it
+   guards. A wait that ends early must take its timer with it, or the heap
+   fills with dead timers that later fire as no-ops. *)
+let test_timeouts_cancelled () =
+  let s = Sched.create () in
+  let n = 1_000 and gap = 10 in
+  let high_water = ref 0 in
+  let _ =
+    Sched.spawn s (fun () ->
+        for i = 1 to n do
+          let iv = Sched.Ivar.create s in
+          Sched.after s gap (fun () ->
+              high_water := max !high_water (Sched.pending_events s);
+              Sched.Ivar.fill iv i);
+          match Sched.Ivar.read ~timeout:3_000_000 iv with
+          | Some v when v = i -> ()
+          | _ -> Alcotest.failf "read %d lost its value" i
+        done)
+  in
+  Sched.run_until_quiescent s;
+  Alcotest.(check int) "clock stops at the last fill" (n * gap) (Sched.now s);
+  (* One start, then a fill and a resume per read: no timer ever fires. *)
+  Alcotest.(check int) "no stale firings" (1 + (2 * n)) (Sched.events_executed s);
+  Alcotest.(check int) "at most the live timer beside the fill" 1 !high_water;
+  Alcotest.(check int) "heap empty" 0 (Sched.pending_events s)
+
 let test_event_limit () =
   let s = Sched.create () in
   Sched.set_event_limit s 10;
@@ -187,6 +229,44 @@ let test_blocked_processes_diagnostic () =
   Sched.run s;
   Alcotest.(check (list string)) "only the blocked loop reported" [ "server-loop" ]
     (Sched.blocked_processes s)
+
+(* --- the event heap: (time, seq) order and cancellation --- *)
+
+let drain_times times =
+  let s = Sched.create () in
+  let log = ref [] in
+  List.iter (fun tm -> Sched.at s tm (fun () -> log := tm :: !log)) times;
+  Sched.run s;
+  List.rev !log
+
+let test_heap_sorts () =
+  (* More events than the heap's initial capacity, so it also grows. *)
+  let input = List.init 40 (fun i -> (i * 37) mod 23) @ [ 5; 3; 9; 1; 7; 3; 0; 2; 8 ] in
+  Alcotest.(check (list int)) "sorted drain" (List.sort compare input) (drain_times input)
+
+let test_heap_peek_pop () =
+  let s = Sched.create () in
+  Alcotest.(check (option int)) "empty peek" None (Sched.next_event_time s);
+  Alcotest.(check bool) "empty step" false (Sched.step s);
+  Sched.at s 4 ignore;
+  Sched.at s 2 ignore;
+  Alcotest.(check (option int)) "peek min" (Some 2) (Sched.next_event_time s);
+  Alcotest.(check int) "length" 2 (Sched.pending_events s);
+  Alcotest.(check bool) "step min" true (Sched.step s);
+  Alcotest.(check int) "clock at min" 2 (Sched.now s);
+  Alcotest.(check (option int)) "peek next" (Some 4) (Sched.next_event_time s);
+  Alcotest.(check bool) "step next" true (Sched.step s);
+  Alcotest.(check int) "now empty" 0 (Sched.pending_events s)
+
+let test_heap_stability_by_seq () =
+  (* Equal times must run in push order. *)
+  let s = Sched.create () in
+  let log = ref [] in
+  List.iter
+    (fun (tm, name) -> Sched.at s tm (fun () -> log := name :: !log))
+    [ (5, "a"); (5, "b"); (3, "c"); (5, "d"); (3, "e") ];
+  Sched.run s;
+  Alcotest.(check (list string)) "time then seq" [ "c"; "e"; "a"; "b"; "d" ] (List.rev !log)
 
 let test_determinism_across_runs () =
   let run () =
@@ -318,6 +398,14 @@ let () =
           Alcotest.test_case "mailbox late message" `Quick test_mailbox_timeout_then_late_message;
           Alcotest.test_case "ivar broadcast" `Quick test_ivar;
           Alcotest.test_case "ivar timeout" `Quick test_ivar_timeout;
+          Alcotest.test_case "mailbox killed waiter" `Quick test_mailbox_killed_waiter;
+          Alcotest.test_case "timeouts cancelled on wake" `Quick test_timeouts_cancelled;
+        ] );
+      ( "heap",
+        [
+          Alcotest.test_case "sorts" `Quick test_heap_sorts;
+          Alcotest.test_case "peek/pop" `Quick test_heap_peek_pop;
+          Alcotest.test_case "stability by seq" `Quick test_heap_stability_by_seq;
         ] );
       ( "world",
         [

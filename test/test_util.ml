@@ -1,4 +1,4 @@
-(* Unit tests for ntcs_util: RNG, heap, LRU, bounded queue, stats, metrics. *)
+(* Unit tests for ntcs_util: RNG, LRU, bounded queue, stats, metrics. *)
 
 open Ntcs_util
 
@@ -56,32 +56,6 @@ let test_rng_split_independent () =
   let a = Rng.split r in
   let va = Rng.next_int64 a and vr = Rng.next_int64 r in
   Alcotest.(check bool) "split diverges from parent" true (va <> vr)
-
-let test_heap_sorts () =
-  let h = Heap.create ~leq:(fun a b -> a <= b) in
-  let input = [ 5; 3; 9; 1; 7; 3; 0; -2; 8 ] in
-  List.iter (Heap.push h) input;
-  Alcotest.(check (list int)) "sorted drain" (List.sort compare input) (Heap.to_list h)
-
-let test_heap_peek_pop () =
-  let h = Heap.create ~leq:(fun a b -> a <= b) in
-  Alcotest.(check (option int)) "empty peek" None (Heap.peek h);
-  Alcotest.(check (option int)) "empty pop" None (Heap.pop h);
-  Heap.push h 4;
-  Heap.push h 2;
-  Alcotest.(check (option int)) "peek min" (Some 2) (Heap.peek h);
-  Alcotest.(check int) "length" 2 (Heap.length h);
-  Alcotest.(check (option int)) "pop min" (Some 2) (Heap.pop h);
-  Alcotest.(check (option int)) "pop next" (Some 4) (Heap.pop h);
-  Alcotest.(check bool) "now empty" true (Heap.is_empty h)
-
-let test_heap_stability_by_seq () =
-  (* The scheduler orders by (time, seq); equal times must preserve seq
-     order. *)
-  let h = Heap.create ~leq:(fun (t1, s1) (t2, s2) -> t1 < t2 || (t1 = t2 && s1 <= s2)) in
-  List.iter (Heap.push h) [ (5, 1); (5, 0); (3, 2); (5, 2); (3, 3) ];
-  Alcotest.(check (list (pair int int)))
-    "time then seq" [ (3, 2); (3, 3); (5, 0); (5, 1); (5, 2) ] (Heap.to_list h)
 
 let test_lru_basics () =
   let c = Lru.create 2 in
@@ -228,12 +202,6 @@ let () =
           Alcotest.test_case "errors" `Quick test_rng_errors;
           Alcotest.test_case "shuffle permutes" `Quick test_rng_shuffle_permutes;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
-        ] );
-      ( "heap",
-        [
-          Alcotest.test_case "sorts" `Quick test_heap_sorts;
-          Alcotest.test_case "peek/pop" `Quick test_heap_peek_pop;
-          Alcotest.test_case "stability by seq" `Quick test_heap_stability_by_seq;
         ] );
       ( "lru",
         Alcotest.test_case "basics" `Quick test_lru_basics
