@@ -17,7 +17,7 @@ let inventory () =
     {|
 Module inventory (DESIGN.md section 3):
 
-  lib/util   ntcs_util   rng, lru, bounded queues, pools, metrics, stats
+  lib/util   ntcs_util   rng, lru, bounded queues, pools, stats
   lib/sim    ntcs_sim    deterministic scheduler, machines, networks, traces
   lib/ipcs   ntcs_ipcs   physical addresses; simulated Unix TCP and Apollo MBX
   lib/wire   ntcs_wire   image / packed / shift conversion modes (paper section 5)

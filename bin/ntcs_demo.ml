@@ -103,14 +103,14 @@ let scenario ~trace ~filter ~seed ~faults =
            { managed with Ntcs_drts.Process_ctl.m_spec = spec "worker@ether" }
            ~to_machine:"sun1"));
   Cluster.settle ~dt:60_000_000 cluster;
-  let m = Cluster.metrics cluster in
+  let m = Cluster.obs cluster in
   Printf.printf
     "\nsummary: frames=%d gw-forwards=%d faults=%d relocations=%d tadds purged=%d\n"
-    (Ntcs_util.Metrics.get m "nd.frames_sent")
-    (Ntcs_util.Metrics.get m "gw.forwards")
-    (Ntcs_util.Metrics.get m "lcm.addr_faults")
-    (Ntcs_util.Metrics.get m "lcm.relocations")
-    (Ntcs_util.Metrics.get m "tadd.purged");
+    (Ntcs_obs.Registry.get m "nd.frames_sent")
+    (Ntcs_obs.Registry.get m "gw.forwards")
+    (Ntcs_obs.Registry.get m "lcm.addr_faults")
+    (Ntcs_obs.Registry.get m "lcm.relocations")
+    (Ntcs_obs.Registry.get m "tadd.purged");
   (* The driver's own recovery counters from [Ali_layer.stats]: how hard the
      LCM retry policy had to work on its behalf. *)
   (match !driver_stats with

@@ -90,7 +90,7 @@ let () =
 
   Cluster.settle ~dt:20_000_000 cluster;
   Queue.iter print_endline readings;
-  let m = Cluster.metrics cluster in
+  let m = Cluster.obs cluster in
   Printf.printf "\nconversions by the sensor: image=%d packed=%d — no needless work\n"
-    (Ntcs_util.Metrics.get m "conv.image_msgs.sensor")
-    (Ntcs_util.Metrics.get m "conv.packed_msgs.sensor")
+    (Ntcs_obs.Registry.get m "conv.image_msgs.sensor")
+    (Ntcs_obs.Registry.get m "conv.packed_msgs.sensor")

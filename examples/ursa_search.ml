@@ -60,9 +60,9 @@ let () =
                    reply.Ursa.Ursa_msg.sr_hits)
              queries));
   Cluster.settle ~dt:120_000_000 cluster;
-  let m = Cluster.metrics cluster in
+  let m = Cluster.obs cluster in
   Printf.printf
     "\nNTCS work underneath: %d frames sent, %d gateway forwards, %d name lookups\n"
-    (Ntcs_util.Metrics.get m "nd.frames_sent")
-    (Ntcs_util.Metrics.get m "gw.forwards")
-    (Ntcs_util.Metrics.get m "ns.lookups")
+    (Ntcs_obs.Registry.get m "nd.frames_sent")
+    (Ntcs_obs.Registry.get m "gw.forwards")
+    (Ntcs_obs.Registry.get m "ns.lookups")

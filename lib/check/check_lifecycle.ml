@@ -1,69 +1,47 @@
 (* Dynamic half of the lifecycle check: replay a simulation trace through
    the Check_auto automaton, one state machine per circuit endpoint.
 
-   Keys. Endpoint events (category ip.ivc_<x>) key on (actor, label): the
-   opener and the acceptor of the same chained circuit run separate
-   machines, as they do in the implementation. Gateway splice events
-   (category gw.<x>) key on (actor, net, label) — one machine per leg. Labels come from a global registry,
-   so a key can never be reborn under a different circuit.
-
-   Inputs.  ip.ivc_open_sent -> open-sent        (opener: idle -> opening)
-            ip.ivc_open      -> accept           (opener: opening -> established)
-            ip.ivc_reject    -> reject           (opener: opening -> closed)
-            ip.ivc_accept    -> open-received    (acceptor: idle -> established)
-            ip.ivc_close     -> close            (either side, local or remote)
-            gw.splice        -> open-received    (both legs commit)
-            gw.forward       -> traffic          (both legs)
-            gw.close         -> close            (both legs)
+   Keys. Endpoint events (ip.ivc_<x>) key on (actor, label): the opener
+   and the acceptor of the same chained circuit run separate machines, as
+   they do in the implementation. Gateway splice events (gw.<x>) key on
+   (actor, net, label), one machine per leg, and drive both legs. Labels
+   come from a global registry, so a key can never be reborn under a
+   different circuit.
 
    Because a splice leg is removed from the table in the same step that
    traces gw.close, a gw.forward after gw.close on the same key is
    impossible in a correct gateway — and a Draining/Closed + traffic
    violation here is exactly the §4.3 teardown-ordering bug. *)
 
+open Ntcs
+
 let invariant = "lifecycle"
-
-let words s = String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
-
-let int_of w = int_of_string_opt w
-
-let net_of w =
-  if String.length w > 3 && String.sub w 0 3 = "net" then
-    int_of_string_opt (String.sub w 3 (String.length w - 3))
-  else None
 
 let ep_key actor label = Printf.sprintf "%s label %d" actor label
 let leg_key actor net label = Printf.sprintf "%s net%d label %d" actor net label
 
 (* The automaton inputs an entry drives, as (key, input) pairs. Entries of
-   other categories (and unparseable details, which cannot happen unless the
-   trace formats drift) drive nothing. *)
+   other categories drive nothing. *)
 let inputs_of (e : Ntcs_sim.Trace.entry) : (string * Check_auto.input) list =
-  let ep label input =
-    match label with Some l -> [ (ep_key e.actor l, input) ] | None -> []
+  let ep label input = [ (ep_key e.actor label, input) ] in
+  let both_legs (r : Trace_event.route) input =
+    [
+      (leg_key e.actor r.in_net r.in_label, input);
+      (leg_key e.actor r.out_net r.out_label, input);
+    ]
   in
-  let both_legs na la nb lb input =
-    match (na, la, nb, lb) with
-    | Some na, Some la, Some nb, Some lb ->
-      [ (leg_key e.actor na la, input); (leg_key e.actor nb lb, input) ]
-    | _ -> []
-  in
-  match (e.cat, words e.detail) with
-  | "ip.ivc_open_sent", "label" :: l :: _ -> ep (int_of l) Check_auto.Open_sent
-  | "ip.ivc_open", "to" :: _ :: "via" :: _ :: _ :: "label" :: l :: _ ->
-    ep (int_of l) Check_auto.Accept
-  | "ip.ivc_reject", "label" :: l :: _ -> ep (int_of l) Check_auto.Reject
-  | "ip.ivc_accept", "from" :: _ :: "label" :: l :: _ -> ep (int_of l) Check_auto.Open_rcvd
-  | "ip.ivc_close", "label" :: l :: _ -> ep (int_of l) Check_auto.Close
-  | "gw.splice", na :: "label" :: la :: "<->" :: nb :: "label" :: lb :: _ ->
-    both_legs (net_of na) (int_of la) (net_of nb) (int_of lb) Check_auto.Open_rcvd
-  | "gw.forward", na :: "label" :: la :: "->" :: nb :: "label" :: lb :: _ ->
-    both_legs (net_of na) (int_of la) (net_of nb) (int_of lb) Check_auto.Traffic
-  | "gw.close", na :: "label" :: la :: "<->" :: nb :: "label" :: lb :: _ ->
-    both_legs (net_of na) (int_of la) (net_of nb) (int_of lb) Check_auto.Close
+  match e.event with
+  | Trace_event.Ip_ivc_open_sent { label; _ } -> ep label Check_auto.Open_sent
+  | Trace_event.Ip_ivc_open { label; _ } -> ep label Check_auto.Accept
+  | Trace_event.Ip_ivc_reject { label } -> ep label Check_auto.Reject
+  | Trace_event.Ip_ivc_accept { label; _ } -> ep label Check_auto.Open_rcvd
+  | Trace_event.Ip_ivc_close { label; _ } -> ep label Check_auto.Close
+  | Trace_event.Gw_splice { route; _ } -> both_legs route Check_auto.Open_rcvd
+  | Trace_event.Gw_forward { route; _ } -> both_legs route Check_auto.Traffic
+  | Trace_event.Gw_close route -> both_legs route Check_auto.Close
   | _ -> []
 
-let check (entries : Ntcs_sim.Trace.entry list) : Lint_trace.violation list =
+let check (entries : Ntcs_sim.Trace.entry list) : Check_invariants.violation list =
   let states : (string, Check_auto.state) Hashtbl.t = Hashtbl.create 64 in
   let violations = ref [] in
   List.iter
@@ -79,34 +57,15 @@ let check (entries : Ntcs_sim.Trace.entry list) : Lint_trace.violation list =
           | Check_auto.Violation why ->
             violations :=
               {
-                Lint_trace.v_at_us = e.at_us;
+                Check_invariants.v_at_us = e.at_us;
                 v_invariant = invariant;
                 v_detail =
                   Printf.sprintf "%s: %s (%s in state %s, from %s %S)" key why
                     (Check_auto.input_to_string input)
                     (Check_auto.state_to_string cur)
-                    e.cat e.detail;
+                    e.cat (Ntcs_sim.Trace.detail e);
               }
               :: !violations)
         (inputs_of e))
     entries;
   List.rev !violations
-
-(* Final states, for tests and post-mortems: [(key, state)] sorted. *)
-let final_states entries =
-  let states : (string, Check_auto.state) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun e ->
-      List.iter
-        (fun (key, input) ->
-          let cur =
-            match Hashtbl.find_opt states key with Some s -> s | None -> Check_auto.Idle
-          in
-          match Check_auto.transition cur input with
-          | Check_auto.Goto s' -> Hashtbl.replace states key s'
-          | Check_auto.Stay | Check_auto.Violation _ ->
-            if not (Hashtbl.mem states key) then Hashtbl.replace states key cur)
-        (inputs_of e))
-    entries;
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) states []
-  |> List.sort (fun (a, _) (b, _) -> compare a b)

@@ -1,17 +1,10 @@
 (** Dynamic lifecycle conformance: replays a simulation trace through the
     {!Check_auto} automaton, one machine per circuit endpoint (opener,
     acceptor, each gateway splice leg), and reports every illegal
-    transition as an R3-style violation. *)
+    transition as an R3-style violation. It reads the typed
+    [ip.ivc_*] and [gw.splice/forward/close] events' labels and routes. *)
 
 val invariant : string
 (** ["lifecycle"] — the [v_invariant] tag on every violation. *)
 
-val inputs_of : Ntcs_sim.Trace.entry -> (string * Check_auto.input) list
-(** The (endpoint key, automaton input) pairs one trace entry drives;
-    [[]] for categories outside the lifecycle vocabulary. *)
-
-val check : Ntcs_sim.Trace.entry list -> Lint_trace.violation list
-
-val final_states : Ntcs_sim.Trace.entry list -> (string * Check_auto.state) list
-(** Per-endpoint state after the whole trace, sorted by key — for tests
-    and post-mortems. *)
+val check : Ntcs_sim.Trace.entry list -> Check_invariants.violation list

@@ -13,7 +13,7 @@
       backwards.)
 
    2. Floor discipline — after an actor's cache raised shard [s]'s floor to
-      [g] (ns.cache.invalidate "shard s floor g ..."), every later
+      [g] (an ns.cache.invalidate of cause Floor_raised), every later
       ns.cache.hit that actor reports for shard [s] carries a generation at
       least [g]: an invalidated entry can never be served fresh again.
 
@@ -22,58 +22,12 @@
       be an ns.cache.store on [k] (the re-lookup's fresh answer).
 
    4. Hop bound — shard-router forwarding is one hop at most: every
-      ns.shard.forward event's "hop" field is <= 1.
+      ns.shard.forward event's hop is <= 1.
 
-   Detail formats (produced by Nsp_layer / Name_server):
-     ns.cache.hit/stale/store  "<kind>:<key> shard <s> gen <g>"
-     ns.cache.invalidate       "shard <s> floor <g> dropped <n>"
-                               | "splice addr:<a> dropped <n>"
-     ns.shard.forward          "<name>: shard <a> -> <b> hop <h>" *)
+   The events are the typed Ntcs.Trace_event constructors; cache keys
+   compare as data, so a name may contain any words at all. *)
 
-(* [cut ~sep s] splits [s] at the first occurrence of [sep]. *)
-let cut ~sep s =
-  let sl = String.length sep and n = String.length s in
-  let rec go i =
-    if i + sl > n then None
-    else if String.sub s i sl = sep then
-      Some (String.sub s 0 i, String.sub s (i + sl) (n - i - sl))
-    else go (i + 1)
-  in
-  go 0
-
-(* "<kind>:<key> shard <s> gen <g>" -> (key-with-kind, shard, gen). *)
-let parse_kv detail =
-  match cut ~sep:" shard " detail with
-  | Some (key, rest) -> (
-    match cut ~sep:" gen " rest with
-    | Some (s, g) -> (
-      match (int_of_string_opt s, int_of_string_opt g) with
-      | Some shard, Some gen -> Some (key, shard, gen)
-      | _ -> None)
-    | None -> None)
-  | None -> None
-
-(* "shard <s> floor <g> dropped <n>" -> (shard, floor); splice invalidations
-   carry no floor raise and are skipped. *)
-let parse_floor detail =
-  match cut ~sep:"shard " detail with
-  | Some ("", rest) -> (
-    match cut ~sep:" floor " rest with
-    | Some (s, rest) -> (
-      match cut ~sep:" dropped " rest with
-      | Some (g, _) -> (
-        match (int_of_string_opt s, int_of_string_opt g) with
-        | Some shard, Some floor -> Some (shard, floor)
-        | _ -> None)
-      | None -> None)
-    | None -> None)
-  | _ -> None
-
-(* trailing " hop <h>" of a forward event *)
-let parse_hop detail =
-  match cut ~sep:" hop " detail with
-  | Some (_, h) -> int_of_string_opt h
-  | None -> None
+open Ntcs
 
 let check (entries : Ntcs_sim.Trace.entry list) =
   let errs = ref [] in
@@ -82,52 +36,39 @@ let check (entries : Ntcs_sim.Trace.entry list) =
   in
   let store_gen : (string * int, int) Hashtbl.t = Hashtbl.create 16 in
   let floors : (string * int, int) Hashtbl.t = Hashtbl.create 16 in
-  let awaiting_store : (string * string, int) Hashtbl.t = Hashtbl.create 16 in
+  let awaiting_store : (string * Trace_event.cache_key, int) Hashtbl.t =
+    Hashtbl.create 16
+  in
   List.iter
     (fun (e : Ntcs_sim.Trace.entry) ->
-      let bad () = err e.at_us "%s: unparseable detail %S" e.cat e.detail in
-      match e.cat with
-      | "ns.cache.store" -> (
-        match parse_kv e.detail with
-        | None -> bad ()
-        | Some (key, shard, gen) ->
-          (match Hashtbl.find_opt store_gen (e.actor, shard) with
-           | Some prev when gen < prev ->
-             err e.at_us "%s: store gen went backwards on shard %d (%d after %d, key %s)"
-               e.actor shard gen prev key
-           | _ -> ());
-          Hashtbl.replace store_gen (e.actor, shard) gen;
-          Hashtbl.remove awaiting_store (e.actor, key))
-      | "ns.cache.stale" -> (
-        match parse_kv e.detail with
-        | None -> bad ()
-        | Some (key, _, _) -> Hashtbl.replace awaiting_store (e.actor, key) e.at_us)
-      | "ns.cache.hit" -> (
-        match parse_kv e.detail with
-        | None -> bad ()
-        | Some (key, shard, gen) ->
-          (match Hashtbl.find_opt awaiting_store (e.actor, key) with
-           | Some since ->
-             err e.at_us
-               "%s: hit on %s after a stale hit at t=%dus with no store in between"
-               e.actor key since
-           | None -> ());
-          (match Hashtbl.find_opt floors (e.actor, shard) with
-           | Some floor when gen < floor ->
-             err e.at_us "%s: hit on %s at gen %d below shard %d's floor %d" e.actor key
-               gen shard floor
-           | _ -> ()))
-      | "ns.cache.invalidate" -> (
-        match parse_floor e.detail with
-        | Some (shard, floor) -> Hashtbl.replace floors (e.actor, shard) floor
-        | None -> if not (String.starts_with ~prefix:"splice " e.detail) then bad ())
-      | "ns.shard.forward" -> (
-        match parse_hop e.detail with
-        | None -> bad ()
-        | Some h ->
-          if h > 1 then
-            err e.at_us "%s: shard forward exceeded the one-hop bound (hop %d: %s)"
-              e.actor h e.detail)
+      match e.event with
+      | Trace_event.Ns_cache_store { key; shard; gen } ->
+        (match Hashtbl.find_opt store_gen (e.actor, shard) with
+         | Some prev when gen < prev ->
+           err e.at_us "%s: store gen went backwards on shard %d (%d after %d, key %s)"
+             e.actor shard gen prev (Trace_event.key_to_string key)
+         | _ -> ());
+        Hashtbl.replace store_gen (e.actor, shard) gen;
+        Hashtbl.remove awaiting_store (e.actor, key)
+      | Trace_event.Ns_cache_stale { key; _ } ->
+        Hashtbl.replace awaiting_store (e.actor, key) e.at_us
+      | Trace_event.Ns_cache_hit { key; shard; gen } ->
+        (match Hashtbl.find_opt awaiting_store (e.actor, key) with
+         | Some since ->
+           err e.at_us "%s: hit on %s after a stale hit at t=%dus with no store in between"
+             e.actor (Trace_event.key_to_string key) since
+         | None -> ());
+        (match Hashtbl.find_opt floors (e.actor, shard) with
+         | Some floor when gen < floor ->
+           err e.at_us "%s: hit on %s at gen %d below shard %d's floor %d" e.actor
+             (Trace_event.key_to_string key) gen shard floor
+         | _ -> ())
+      | Trace_event.Ns_cache_invalidate
+          { cause = Trace_event.Floor_raised { shard; floor }; _ } ->
+        Hashtbl.replace floors (e.actor, shard) floor
+      | Trace_event.Ns_shard_forward { hop; _ } when hop > 1 ->
+        err e.at_us "%s: shard forward exceeded the one-hop bound (hop %d: %s)" e.actor hop
+          (Ntcs_sim.Trace.detail e)
       | _ -> ())
     entries;
   List.rev_map (fun m -> "naming coherence: " ^ m) !errs

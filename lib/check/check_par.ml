@@ -134,7 +134,7 @@ type par_report = {
   pr_choices : int; (* chooser consultations recorded in the replay pass *)
   pr_blocked : string list;
   pr_race_conflicts : int;
-  pr_span_violations : Lint_trace.violation list;
+  pr_span_violations : Check_invariants.violation list;
   pr_divergences : string list;
 }
 

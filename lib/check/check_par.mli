@@ -30,7 +30,7 @@ type par_report = {
   pr_choices : int;  (** chooser consultations replayed in the replay pass *)
   pr_blocked : string list;  (** the shard-stable teardown report *)
   pr_race_conflicts : int;
-  pr_span_violations : Lint_trace.violation list;
+  pr_span_violations : Check_invariants.violation list;
   pr_divergences : string list;
 }
 

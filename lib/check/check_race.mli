@@ -58,15 +58,9 @@ val arm : Ntcs_sim.World.t -> t
 (** Install the monitor on the world's scheduler. Arm before traffic
     runs; accesses made while disarmed are invisible. *)
 
-val disarm : t -> unit
-(** Remove the monitor; accumulated results remain readable. *)
-
 val conflicts : t -> conflict list
 (** Races on [Exclusive] cells, in detection order. *)
 
 val waived : t -> int
 (** Count of conflict patterns on [Waived] cells (sanctioned shared
     state — counted, not reported). *)
-
-val pp_conflict : Format.formatter -> conflict -> unit
-val conflict_to_json : conflict -> string

@@ -110,7 +110,7 @@ let sanitizer_violations w =
   ignore (Ntcs_sim.World.pool_leak_check w);
   List.concat_map
     (fun (name, what) ->
-      let n = Ntcs_util.Metrics.get (Ntcs_sim.World.metrics w) name in
+      let n = Ntcs_obs.Registry.get (Ntcs_sim.World.obs w) name in
       if n > 0 then [ Printf.sprintf "pool sanitizer: %d %s" n what ] else [])
     [
       ("pool.sanitizer.poison", "buffer(s) written through a stale view");
@@ -128,11 +128,11 @@ let monitor_violations sc (mode : Mode.t) w =
   let entries = Ntcs_sim.Trace.entries trace in
   let matching cat what =
     List.map
-      (fun (e : Ntcs_sim.Trace.entry) -> Printf.sprintf "%s: %s" what e.detail)
+      (fun e -> Printf.sprintf "%s: %s" what (Ntcs_sim.Trace.detail e))
       (Ntcs_sim.Trace.matching trace ~cat)
   in
-  let pp vs = List.map (fun v -> Format.asprintf "%a" Lint_trace.pp_violation v) vs in
-  pp (Lint_trace.check_all ?recursion_limit:sc.sc_recursion_limit entries)
+  let pp vs = List.map (fun v -> Format.asprintf "%a" Check_invariants.pp_violation v) vs in
+  pp (Check_invariants.check_all ?recursion_limit:sc.sc_recursion_limit entries)
   @ pp (Check_lifecycle.check entries)
   @ (if sc.sc_crashes_expected then [] else matching "sim.proc_crash" "process crashed")
   @ pp (Check_spans.check (Ntcs_obs.Registry.spans (Ntcs_sim.World.obs w)))
@@ -252,7 +252,7 @@ let break_ns =
         | `Not_run -> [ "app never finished (recursion hang?)" ]
       in
       let guard_errs =
-        if Ntcs_util.Metrics.get (Cluster.metrics c) "lcm.ns_guard_hits" > 0 then []
+        if Ntcs_obs.Registry.get (Cluster.obs c) "lcm.ns_guard_hits" > 0 then []
         else [ "guard never engaged" ]
       in
       !errs @ outcome_errs @ guard_errs
@@ -327,7 +327,7 @@ let chaser_errs ~text outcome =
   | `Not_run -> [ "app never completed" ]
 
 let metric_at_least c name n msg =
-  if Ntcs_util.Metrics.get (Cluster.metrics c) name >= n then [] else [ msg ]
+  if Ntcs_obs.Registry.get (Cluster.obs c) name >= n then [] else [ msg ]
 
 (* Partition-heal: sever the service's machine from the rest of the LAN for
    4s (with lossy/duplicating/delaying links around the window for good
@@ -485,7 +485,7 @@ let fault_ns_partition_noguard =
           (Ntcs_sim.Trace.matching (Ntcs_sim.World.trace (Cluster.world c))
              ~cat:"sim.proc_crash")
       in
-      let deep = Ntcs_util.Metrics.get (Cluster.metrics c) "lcm.fault_queries" in
+      let deep = Ntcs_obs.Registry.get (Cluster.obs c) "lcm.fault_queries" in
       (* The divergence must be observed: either the app died of the
          simulated stack overflow, or the depth bound cut a recursion that
          had already gone deep. A clean bounded failure here would mean the
@@ -500,7 +500,7 @@ let fault_ns_partition_noguard =
           else [ Printf.sprintf "fault recursion never went deep (fault_queries=%d)" deep ]
       in
       let guard_errs =
-        if Ntcs_util.Metrics.get (Cluster.metrics c) "lcm.ns_guard_hits" = 0 then []
+        if Ntcs_obs.Registry.get (Cluster.obs c) "lcm.ns_guard_hits" = 0 then []
         else [ "guard engaged with ns_fault_guard=false" ]
       in
       !errs @ divergence_errs @ guard_errs

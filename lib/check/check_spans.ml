@@ -18,12 +18,6 @@
    plane may replay a frame after the sender already shut down, and the
    late delivery is legal (§4.3). *)
 
-type violation = Lint_trace.violation = {
-  v_at_us : int;
-  v_invariant : string;
-  v_detail : string;
-}
-
 let close_reasons = [ "peer-down"; "shutdown"; "crashed" ]
 
 type circ_state = {
@@ -38,7 +32,8 @@ let check (spans : Ntcs_obs.Span.event list) =
   let circuits : (int, circ_state) Hashtbl.t = Hashtbl.create 32 in
   let violations = ref [] in
   let fail at inv detail =
-    violations := { v_at_us = at; v_invariant = inv; v_detail = detail } :: !violations
+    violations :=
+      { Check_invariants.v_at_us = at; v_invariant = inv; v_detail = detail } :: !violations
   in
   List.iter
     (fun e ->
@@ -118,13 +113,3 @@ let check (spans : Ntcs_obs.Span.event list) =
                        c seq name st.c_reason)));
   List.rev !violations
 
-(* Circuits whose close marked the owner's death — the crash-restart soak
-   asserts the dispatcher exit hook actually ran. *)
-let crashed_circuits (spans : Ntcs_obs.Span.event list) =
-  let open Ntcs_obs.Span in
-  List.length
-    (List.filter
-       (fun e ->
-         e.ev_ctx.sp_seq = 0 && e.ev_phase = E && e.ev_name = "lcm.circuit"
-         && e.ev_detail = "crashed")
-       spans)

@@ -3,16 +3,6 @@
     unopened circuit, and every opened span is closed or excused by a crash
     (see DESIGN.md §10). *)
 
-type violation = Lint_trace.violation = {
-  v_at_us : int;
-  v_invariant : string;
-  v_detail : string;
-}
-
-val check : Ntcs_obs.Span.event list -> violation list
+val check : Ntcs_obs.Span.event list -> Check_invariants.violation list
 (** Violations in event order, for a span log in oldest-first order
     ({!Ntcs_obs.Registry.spans}). *)
-
-val crashed_circuits : Ntcs_obs.Span.event list -> int
-(** How many circuit spans were closed as [crashed] — the dispatcher exit
-    hook's mark for an owner that died with circuits open. *)

@@ -26,25 +26,23 @@ type leg = {
   lg_commod : Commod.t;
   lg_circuit : Nd_layer.circuit;
   lg_label : int;
-  lg_route : string; (* "net<in> label <in> -> net<out> label <out>", gw.forward's prefix *)
+  lg_route : Trace_event.route; (* traced by gw.splice, gw.forward and gw.close *)
   lg_hop : string; (* "net<in>->net<out>", gw.forward's span detail *)
+  mutable lg_dst : Addr.t; (* destination of the last frame forwarded *)
 }
 
 (* The leg a frame arriving on ([in_net], [in_label]) leaves by. The route
-   texts are fixed for the splice's life, so they are rendered once here
-   rather than on every forwarded frame. *)
-let make_leg ~in_net ~in_label ~net ~commod ~circuit ~label =
-  let in_net = string_of_int in_net and out_net = string_of_int net in
+   and its span text are fixed for the splice's life, so they are built
+   once here rather than on every forwarded frame. *)
+let make_leg ~in_net ~in_label ~net ~commod ~circuit ~label ~dst =
   {
     lg_net = net;
     lg_commod = commod;
     lg_circuit = circuit;
     lg_label = label;
-    lg_route =
-      String.concat ""
-        [ "net"; in_net; " label "; string_of_int in_label; " -> net"; out_net; " label ";
-          string_of_int label ];
-    lg_hop = String.concat "" [ "net"; in_net; "->net"; out_net ];
+    lg_route = { Trace_event.in_net; in_label; out_net = net; out_label = label };
+    lg_hop = String.concat "" [ "net"; string_of_int in_net; "->net"; string_of_int net ];
+    lg_dst = dst;
   }
 
 type t = {
@@ -73,8 +71,9 @@ let create node ~name ~nets ?(prime_addrs = []) ?(prime_phys = []) () =
     running = true;
   }
 
-let metrics t = Node.metrics t.node
+let obs t = Node.obs t.node
 let trace t ~cat detail = Node.record t.node ~cat ~actor:t.gw_name detail
+let event t ev = Node.event t.node ~actor:t.gw_name ev
 
 let spans_csv t = String.concat "," (List.map string_of_int t.nets)
 
@@ -101,7 +100,7 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
        splice already exists and the original open already answered —
        splice repair must be idempotent, so drop the replay instead of
        opening a second outbound leg over the live one. *)
-    Ntcs_util.Metrics.incr (metrics t) "gw.duplicate_opens";
+    Ntcs_obs.Registry.incr (obs t) "gw.duplicate_opens";
     trace t ~cat:"gw.dup_open"
       (Printf.sprintf "net%d label %d dst=%s" in_net h.Proto.ivc
          (Addr.to_string req.Proto.final_dst))
@@ -110,7 +109,7 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
   if h.Proto.hops >= 255 then begin
     (* The 8-bit hop field is full: a route this deep is a loop (E7), and
        encoding hops+1 would be rejected rather than silently wrapped. *)
-    Ntcs_util.Metrics.incr (metrics t) "gw.hop_overflow";
+    Ntcs_obs.Registry.incr (obs t) "gw.hop_overflow";
     send_reject in_commod in_circuit ~h "hop limit exceeded"
   end
   else begin
@@ -120,7 +119,7 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
   let resolver = Commod.resolver in_commod in
   match Router.locate t.node resolver target with
   | Error e ->
-    Ntcs_util.Metrics.incr (metrics t) "gw.open_failures";
+    Ntcs_obs.Registry.incr (obs t) "gw.open_failures";
     send_reject in_commod in_circuit ~h (Errors.to_string e)
   | Ok (phys_candidates, target_nets) -> (
     (* Pick the outbound ComMod: one of ours attached to a network the
@@ -130,7 +129,7 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
     in
     match out with
     | None ->
-      Ntcs_util.Metrics.incr (metrics t) "gw.open_failures";
+      Ntcs_obs.Registry.incr (obs t) "gw.open_failures";
       send_reject in_commod in_circuit ~h "no outbound network"
     | Some (out_net, out_commod) -> (
       let out_nd = Commod.nd out_commod in
@@ -150,26 +149,29 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
       in
       match circuit_result with
       | Error e ->
-        Ntcs_util.Metrics.incr (metrics t) "gw.open_failures";
+        Ntcs_obs.Registry.incr (obs t) "gw.open_failures";
         send_reject in_commod in_circuit ~h (Errors.to_string e)
       | Ok out_circuit ->
         if Hashtbl.mem t.splices in_key then begin
           (* A worker for a replayed copy of this open won the race while we
              were blocked on naming / channel setup: same answer as above. *)
-          Ntcs_util.Metrics.incr (metrics t) "gw.duplicate_opens";
+          Ntcs_obs.Registry.incr (obs t) "gw.duplicate_opens";
           trace t ~cat:"gw.dup_open"
             (Printf.sprintf "net%d label %d dst=%s (lost race)" in_net h.Proto.ivc
                (Addr.to_string req.Proto.final_dst))
         end
         else begin
           let out_label = Registry.fresh_label t.node.Node.ipcs in
-          Hashtbl.replace t.splices in_key
-            (make_leg ~in_net ~in_label:h.Proto.ivc ~net:out_net ~commod:out_commod
-               ~circuit:out_circuit ~label:out_label);
+          let dst = req.Proto.final_dst in
+          let out_leg =
+            make_leg ~in_net ~in_label:h.Proto.ivc ~net:out_net ~commod:out_commod
+              ~circuit:out_circuit ~label:out_label ~dst
+          in
+          Hashtbl.replace t.splices in_key out_leg;
           Hashtbl.replace t.splices
             (leg_key out_net out_circuit out_label)
             (make_leg ~in_net:out_net ~in_label:out_label ~net:in_net ~commod:in_commod
-               ~circuit:in_circuit ~label:h.Proto.ivc);
+               ~circuit:in_circuit ~label:h.Proto.ivc ~dst);
           let body =
             Ntcs_wire.Packed.run_pack Proto.ivc_open_codec
               { req with Proto.route = (match req.Proto.route with [] -> [] | _ :: r -> r) }
@@ -177,10 +179,8 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
           let fwd =
             { h with Proto.dst = target; ivc = out_label; hops = h.Proto.hops + 1 }
           in
-          Ntcs_util.Metrics.incr (metrics t) "gw.opens";
-          trace t ~cat:"gw.splice"
-            (Printf.sprintf "net%d label %d <-> net%d label %d dst=%s" in_net h.Proto.ivc
-               out_net out_label (Addr.to_string req.Proto.final_dst));
+          Ntcs_obs.Registry.incr (obs t) "gw.opens";
+          event t (Trace_event.Gw_splice { route = out_leg.lg_route; dst });
           match Nd_layer.send_frame out_circuit fwd body with
           | Ok () -> ()
           | Error e ->
@@ -200,10 +200,7 @@ let remove_splice_pair t in_key (out_leg : leg) =
      checker (ntcs_check) can prove no frame is ever forwarded across a
      splice after its teardown (§4.3 ordering). *)
   if Hashtbl.mem t.splices in_key then begin
-    let in_net, _, in_label = in_key in
-    trace t ~cat:"gw.close"
-      (Printf.sprintf "net%d label %d <-> net%d label %d" in_net in_label out_leg.lg_net
-         out_leg.lg_label);
+    event t (Trace_event.Gw_close out_leg.lg_route);
     Hashtbl.remove t.splices in_key;
     Hashtbl.remove t.splices (leg_key out_leg.lg_net out_leg.lg_circuit out_leg.lg_label)
   end
@@ -222,13 +219,13 @@ let handle_frame t (net : Net.id) (_commod : Commod.t) circuit (view : Proto.Fra
   let h = Proto.Frame.header view in
   let key = leg_key net circuit h.Proto.ivc in
   match Hashtbl.find_opt t.splices key with
-  | None -> Ntcs_util.Metrics.incr (metrics t) "gw.orphan_frames"
+  | None -> Ntcs_obs.Registry.incr (obs t) "gw.orphan_frames"
   | Some out ->
     if h.Proto.hops >= 255 then begin
       (* Hop field full: this frame is looping (E7). Dropping it here is
          the loop protection the 8-bit counter exists for — wrapping to a
          small value would let it circulate forever. *)
-      Ntcs_util.Metrics.incr (metrics t) "gw.hop_overflow";
+      Ntcs_obs.Registry.incr (obs t) "gw.hop_overflow";
       trace t ~cat:"gw.hop_overflow"
         (Printf.sprintf "net%d label %d kind=%s dst=%s" net h.Proto.ivc
            (Proto.kind_to_string h.Proto.kind)
@@ -237,17 +234,29 @@ let handle_frame t (net : Net.id) (_commod : Commod.t) circuit (view : Proto.Fra
     else begin
       Proto.Frame.patch_ivc view out.lg_label;
       Proto.Frame.patch_hops view (h.Proto.hops + 1);
-      Ntcs_util.Metrics.incr (metrics t) "gw.forwards";
+      Ntcs_obs.Registry.incr (obs t) "gw.forwards";
       (* Every forwarding decision is traced so the §4.2 invariant — gateways
-         never talk to each other — is checkable from event logs (lint R3)
-         instead of assumed. *)
-      trace t ~cat:"gw.forward"
-        (String.concat ""
-           [ out.lg_route; " kind="; Proto.kind_to_string h.Proto.kind; " dst=";
-             Addr.to_string h.Proto.dst; " span="; Ntcs_obs.Span.to_string h.Proto.span ]);
-      if not (Ntcs_obs.Span.is_none h.Proto.span) then
-        World.span (Node.world t.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I
-          ~name:"gw.forward" ~actor:t.gw_name out.lg_hop;
+         never talk to each other — is checkable from event logs (R3)
+         instead of assumed. The entry keeps its fields, so it holds the
+         leg's copy of a repeated destination and the shared null span: of
+         this frame's decoded blocks it keeps only a span the span log
+         keeps too. *)
+      if not (Addr.equal h.Proto.dst out.lg_dst) then out.lg_dst <- h.Proto.dst;
+      let span = h.Proto.span in
+      event t
+        (Trace_event.Gw_forward
+           {
+             route = out.lg_route;
+             kind = h.Proto.kind;
+             dst = out.lg_dst;
+             span =
+               (if span.Ntcs_obs.Span.sp_circuit = 0 && span.sp_seq = 0 then
+                  Ntcs_obs.Span.none
+                else span);
+           });
+      if not (Ntcs_obs.Span.is_none span) then
+        World.span (Node.world t.node) ~ctx:span ~phase:Ntcs_obs.Span.I ~name:"gw.forward"
+          ~actor:t.gw_name out.lg_hop;
       (match Nd_layer.forward_view out.lg_circuit view with
        | Ok () -> ()
        | Error _ ->
@@ -285,7 +294,7 @@ let handle_down t (net : Net.id) circuit =
       ignore
         (Nd_layer.send_frame out.lg_circuit close
            (Ntcs_wire.Packed.run_pack Proto.reason_codec "upstream circuit failed"));
-      Ntcs_util.Metrics.incr (metrics t) "gw.cascade_closes";
+      Ntcs_obs.Registry.incr (obs t) "gw.cascade_closes";
       remove_splice_pair t key out)
     affected
 
@@ -323,7 +332,7 @@ let serve t () =
              (Printf.sprintf "net %d: %s" net (Errors.to_string e))));
       (* Publish each ComMod's settled address: the R3 trace checker learns
          the set of gateway addresses from these events. *)
-      trace t ~cat:"gw.addr" (Addr.to_string (Nd_layer.my_addr (Commod.nd commod))))
+      event t (Trace_event.Gw_addr (Nd_layer.my_addr (Commod.nd commod))))
     t.commods;
   (* Route every ComMod's gateway events into one mailbox. *)
   List.iter

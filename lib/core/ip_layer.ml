@@ -86,8 +86,9 @@ let create node nd =
 let set_plan_oracle t f = t.plan_oracle <- Some f
 let set_gateway_handler t f = t.gw_handler <- Some f
 
-let metrics t = Node.metrics t.node
+let obs t = Node.obs t.node
 let trace t ~cat detail = Node.record t.node ~cat ~actor:t.nd.Nd_layer.owner detail
+let event t ev = Node.event t.node ~actor:t.nd.Nd_layer.owner ev
 
 let my_hello t =
   {
@@ -190,9 +191,8 @@ let open_chained t ~dst ~hops ~first_phys =
          Proto.make_header ~kind:Proto.Ivc_open ~src:(Nd_layer.my_addr t.nd) ~dst:first_gw
            ~src_order:(Node.my_order t.node) ~ivc:label ~payload_len:0 ()
        in
-       Ntcs_util.Metrics.incr (metrics t) "ip.ivc_open_sent";
-       trace t ~cat:"ip.ivc_open_sent"
-         (Printf.sprintf "label %d to %s" label (Addr.to_string dst));
+       Ntcs_obs.Registry.incr (obs t) "ip.ivc_open_sent";
+       event t (Trace_event.Ip_ivc_open_sent { label; dst });
        (match Nd_layer.send_frame circuit header body with
         | Error _ as e ->
           Hashtbl.remove t.pending label;
@@ -222,8 +222,7 @@ let open_chained t ~dst ~hops ~first_phys =
               }
             in
             register_ivc t ivc;
-            trace t ~cat:"ip.ivc_open" (Printf.sprintf "to %s via %d hop(s) label %d"
-                                          (Addr.to_string dst) (List.length hops) label);
+            event t (Trace_event.Ip_ivc_open { dst; hops = List.length hops; label });
             Ok ivc)))
 
 (* Open an IVC to [dst]: ask the routing oracle whether it is local or
@@ -258,7 +257,7 @@ let get_or_open t ~dst =
        (sim-time µs) so ntcs_stat can split open cost from transfer cost. *)
     let t0 = Node.now t.node in
     let r = open_ivc t ~dst in
-    Ntcs_obs.Registry.observe (metrics t) "ip.open_us" (Node.now t.node - t0);
+    Ntcs_obs.Registry.observe (obs t) "ip.open_us" (Node.now t.node - t0);
     r
 
 (* Send application-level traffic on an IVC. This is where the §5 decision
@@ -290,22 +289,25 @@ let send t ivc ~kind ?(seq = 0) ?(conv = 0) ?(app_tag = 0) ?(span = Ntcs_obs.Spa
        without a per-frame flood. *)
     if ivc.last_mode <> Some mode then begin
       ivc.last_mode <- Some mode;
-      trace t ~cat:"ip.convert"
-        (Printf.sprintf "mode=%s local=%s remote=%s dst=%s%s" (Convert.mode_to_string mode)
-           (Endian.order_to_string my_order)
-           (Endian.order_to_string ivc.remote_order)
-           (Addr.to_string ivc.peer)
-           (if t.node.Node.config.Node.force_packed then " forced" else ""))
+      event t
+        (Trace_event.Ip_convert
+           {
+             mode;
+             local = my_order;
+             remote = ivc.remote_order;
+             dst = ivc.peer;
+             forced = t.node.Node.config.Node.force_packed;
+           })
     end;
     (match mode with
      | Convert.Image ->
-       Ntcs_util.Metrics.incr (metrics t) "conv.image_msgs";
+       Ntcs_obs.Registry.incr (obs t) "conv.image_msgs";
        if application_traffic then
-         Ntcs_util.Metrics.incr (metrics t) t.image_key
+         Ntcs_obs.Registry.incr (obs t) t.image_key
      | Convert.Packed ->
-       Ntcs_util.Metrics.incr (metrics t) "conv.packed_msgs";
+       Ntcs_obs.Registry.incr (obs t) "conv.packed_msgs";
        if application_traffic then
-         Ntcs_util.Metrics.incr (metrics t) t.packed_key);
+         Ntcs_obs.Registry.incr (obs t) t.packed_key);
     let data = Convert.force mode payload in
     let dst =
       if ivc.label = 0 then ivc.circuit.Nd_layer.peer_announced else ivc.wire_dst
@@ -322,9 +324,9 @@ let close_ivc t ivc ~reason =
   if ivc.i_open then begin
     ivc.i_open <- false;
     if ivc.label <> 0 then
-      trace t ~cat:"ip.ivc_close"
-        (Printf.sprintf "label %d peer %s local reason=%s" ivc.label
-           (Addr.to_string ivc.peer) reason);
+      event t
+        (Trace_event.Ip_ivc_close
+           { label = ivc.label; peer = ivc.peer; side = Trace_event.Local reason });
     if ivc.label <> 0 && ivc.circuit.Nd_layer.c_open then begin
       let header =
         Proto.make_header ~kind:Proto.Ivc_close ~src:(Nd_layer.my_addr t.nd) ~dst:ivc.peer
@@ -363,9 +365,8 @@ let accept_chained_fresh t circuit (h : Proto.header) (req : Proto.ivc_open) =
     }
   in
   register_ivc t ivc;
-  Ntcs_util.Metrics.incr (metrics t) "ip.ivc_accepted";
-  trace t ~cat:"ip.ivc_accept" (Printf.sprintf "from %s label %d" (Addr.to_string peer_key)
-                                  h.Proto.ivc);
+  Ntcs_obs.Registry.incr (obs t) "ip.ivc_accepted";
+  event t (Trace_event.Ip_ivc_accept { peer = peer_key; label = h.Proto.ivc });
   let reply =
     Proto.make_header ~kind:Proto.Ivc_accept ~src:(Nd_layer.my_addr t.nd) ~dst:origin_real
       ~src_order:(Node.my_order t.node) ~ivc:h.Proto.ivc ~payload_len:0 ()
@@ -381,7 +382,7 @@ let accept_chained t circuit (h : Proto.header) (req : Proto.ivc_open) =
        label — drop it instead. The origin never retries an open under the
        same label (a timed-out open goes out again under a fresh one), so
        no re-ack is owed. *)
-    Ntcs_util.Metrics.incr (metrics t) "ip.duplicate_opens";
+    Ntcs_obs.Registry.incr (obs t) "ip.duplicate_opens";
     trace t ~cat:"ip.dup_open" (Printf.sprintf "label %d" h.Proto.ivc)
   end
   else accept_chained_fresh t circuit h req
@@ -433,7 +434,7 @@ let handle_circuit_down t circuit =
    pays, accounted in the histogram the bench reads. *)
 let materialise t view =
   let p = Proto.Frame.payload_bytes view in
-  Ntcs_obs.Registry.observe (metrics t) "frame.bytes_copied" (Bytes.length p);
+  Ntcs_obs.Registry.observe (obs t) "frame.bytes_copied" (Bytes.length p);
   p
 
 let handle_event t (ev : Nd_layer.event) =
@@ -453,9 +454,10 @@ let handle_event t (ev : Nd_layer.event) =
       | Some ivc ->
         ivc.i_open <- false;
         unregister_ivc t ivc;
-        Ntcs_util.Metrics.incr (metrics t) "ip.ivc_closed_remote";
-        trace t ~cat:"ip.ivc_close"
-          (Printf.sprintf "label %d peer %s remote" ivc.label (Addr.to_string ivc.peer));
+        Ntcs_obs.Registry.incr (obs t) "ip.ivc_closed_remote";
+        event t
+          (Trace_event.Ip_ivc_close
+             { label = ivc.label; peer = ivc.peer; side = Trace_event.Remote });
         Down [ ivc.peer ]
     end
     else if Nd_layer.is_me t.nd h.Proto.dst then begin
@@ -502,7 +504,7 @@ let handle_event t (ev : Nd_layer.event) =
         match Hashtbl.find_opt t.pending h.Proto.ivc with
         | None -> Consumed
         | Some ivar ->
-          trace t ~cat:"ip.ivc_reject" (Printf.sprintf "label %d" h.Proto.ivc);
+          event t (Trace_event.Ip_ivc_reject { label = h.Proto.ivc });
           ignore (Sched.Ivar.try_fill ivar (Error Errors.Unreachable));
           Consumed)
       | Proto.Ivc_close -> (
@@ -511,9 +513,10 @@ let handle_event t (ev : Nd_layer.event) =
         | Some ivc ->
           ivc.i_open <- false;
           unregister_ivc t ivc;
-          Ntcs_util.Metrics.incr (metrics t) "ip.ivc_closed_remote";
-          trace t ~cat:"ip.ivc_close"
-            (Printf.sprintf "label %d peer %s remote" ivc.label (Addr.to_string ivc.peer));
+          Ntcs_obs.Registry.incr (obs t) "ip.ivc_closed_remote";
+          event t
+            (Trace_event.Ip_ivc_close
+               { label = ivc.label; peer = ivc.peer; side = Trace_event.Remote });
           Down [ ivc.peer ])
       | Proto.Hello | Proto.Hello_ack -> Consumed (* handshake residue; ignore *)
       | Proto.Data | Proto.Dgram | Proto.Reply | Proto.Ping | Proto.Pong ->
@@ -529,7 +532,7 @@ let handle_event t (ev : Nd_layer.event) =
         handler (Gw_frame (circuit, view));
         Consumed
       | None ->
-        Ntcs_util.Metrics.incr (metrics t) "ip.misaddressed";
+        Ntcs_obs.Registry.incr (obs t) "ip.misaddressed";
         Consumed
     end
 

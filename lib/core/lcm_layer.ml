@@ -88,7 +88,7 @@ and circ = {
   circ_detail : string; (* "dst=<addr>": the detail of every B event on it *)
 }
 
-let metrics t = Node.metrics t.node
+let obs t = Node.obs t.node
 let trace t ~cat detail = Node.record t.node ~cat ~actor:t.nd.Nd_layer.owner detail
 
 (* --- the causal-span plane ---
@@ -107,7 +107,7 @@ let circuit_of t ~dst =
   match Hashtbl.find_opt t.circuits dst with
   | Some c -> c
   | None ->
-    let id = Ntcs_obs.Registry.fresh_circuit (metrics t) in
+    let id = Ntcs_obs.Registry.fresh_circuit (obs t) in
     let c = { circ_id = id; circ_seq = 0; circ_detail = "dst=" ^ Addr.to_string dst } in
     Hashtbl.replace t.circuits dst c;
     span_event t
@@ -158,7 +158,7 @@ let spanned t ~dst ~op f =
       span_event t ~ctx ~phase:Ntcs_obs.Span.E ~name "crashed";
       raise exn
   in
-  Ntcs_obs.Registry.observe (metrics t) op.op_hist (Node.now t.node - t0);
+  Ntcs_obs.Registry.observe (obs t) op.op_hist (Node.now t.node - t0);
   span_event t ~ctx ~phase:Ntcs_obs.Span.E ~name
     (match r with Ok _ -> "ok" | Error e -> "err=" ^ Errors.to_string e);
   r
@@ -180,12 +180,12 @@ let fresh_seq t =
 
 (* §6 / lint R3: make the recursion ceiling observable from the trace. One
    event per new high-water mark, so the steady state stays quiet and
-   [Lint_trace.recursion_bounded] can assert the §6.3 bound from logs. *)
+   [Check_invariants.recursion_bounded] can assert the §6.3 bound from logs. *)
 let note_depth t =
   let d = Recursion.depth t.track in
   if d > t.deepest then begin
     t.deepest <- d;
-    trace t ~cat:"lcm.depth" (string_of_int d)
+    Node.event t.node ~actor:t.nd.Nd_layer.owner (Trace_event.Lcm_depth d)
   end
 
 let tracked t f =
@@ -228,7 +228,7 @@ let is_ns t addr = match t.ns_addr with Some a -> Addr.equal a addr | None -> fa
    error if the destination is gone for good. *)
 let address_fault t ~dst =
   t.counters.c_faults <- t.counters.c_faults + 1;
-  Ntcs_util.Metrics.incr (metrics t) "lcm.addr_faults";
+  Ntcs_obs.Registry.incr (obs t) "lcm.addr_faults";
   trace t ~cat:"lcm.fault" (Addr.to_string dst);
   (* The channel just failed, so the local tables were already consulted to
      no avail (§3.5). Next stop: the fault handler proper. *)
@@ -241,7 +241,7 @@ let address_fault t ~dst =
          Server". Reconnect through the well-known address instead of asking
          the NSP (which would have to reach the name server over the very
          circuit that just died). *)
-      Ntcs_util.Metrics.incr (metrics t) "lcm.ns_guard_hits";
+      Ntcs_obs.Registry.incr (obs t) "lcm.ns_guard_hits";
       Ip_layer.forget_peer t.ip dst;
       Ok dst
     end
@@ -249,12 +249,12 @@ let address_fault t ~dst =
       match t.fault_oracle with
       | None -> Error Errors.Destination_dead
       | Some oracle -> (
-        Ntcs_util.Metrics.incr (metrics t) "lcm.fault_queries";
+        Ntcs_obs.Registry.incr (obs t) "lcm.fault_queries";
         match oracle dst with
         | Error e -> Error e
         | Ok (Some replacement) ->
           Hashtbl.replace t.forwarding dst replacement;
-          Ntcs_util.Metrics.incr (metrics t) "lcm.relocations";
+          Ntcs_obs.Registry.incr (obs t) "lcm.relocations";
           trace t ~cat:"lcm.relocate"
             (Printf.sprintf "%s -> %s" (Addr.to_string dst) (Addr.to_string replacement));
           (match t.on_relocate with
@@ -329,14 +329,14 @@ let send_frame ?deadline_us ?(span = Ntcs_obs.Span.none) t ~dst ~kind ~conv ~app
         incr retries;
         t.counters.c_retries <- t.counters.c_retries + 1;
         t.counters.c_backoff_us <- t.counters.c_backoff_us + delay_us;
-        Ntcs_util.Metrics.incr (metrics t) "lcm.retries";
-        Ntcs_obs.Registry.observe (metrics t) "lcm.retry_backoff_us" delay_us;
+        Ntcs_obs.Registry.incr (obs t) "lcm.retries";
+        Ntcs_obs.Registry.observe (obs t) "lcm.retry_backoff_us" delay_us;
         trace t ~cat:"lcm.retry"
           (Printf.sprintf "%s attempt=%d backoff=%dus err=%s" (Addr.to_string !cur) attempt
              delay_us (Errors.to_string e)))
       attempt_once
   in
-  Ntcs_obs.Registry.observe (metrics t) "lcm.retries_per_send" !retries;
+  Ntcs_obs.Registry.observe (obs t) "lcm.retries_per_send" !retries;
   r
 
 let send t ~dst ?(app_tag = 0) ?timeout_us payload =
@@ -350,8 +350,8 @@ let send t ~dst ?(app_tag = 0) ?timeout_us payload =
           (match r with
            | Ok () ->
              t.counters.c_sent <- t.counters.c_sent + 1;
-             Ntcs_util.Metrics.incr (metrics t) "lcm.sends"
-           | Error _ -> Ntcs_util.Metrics.incr (metrics t) "lcm.send_errors");
+             Ntcs_obs.Registry.incr (obs t) "lcm.sends"
+           | Error _ -> Ntcs_obs.Registry.incr (obs t) "lcm.send_errors");
           r))
 
 (* Connectionless protocol: single attempt, no relocation, no recovery. *)
@@ -363,8 +363,8 @@ let send_dgram t ~dst ?(app_tag = 0) ?timeout_us payload =
             send_frame ~deadline_us ~span t ~dst ~kind:Proto.Dgram ~conv:0 ~app_tag payload
           in
           (match r with
-           | Ok () -> Ntcs_util.Metrics.incr (metrics t) "lcm.dgrams"
-           | Error _ -> Ntcs_util.Metrics.incr (metrics t) "lcm.dgram_errors");
+           | Ok () -> Ntcs_obs.Registry.incr (obs t) "lcm.dgrams"
+           | Error _ -> Ntcs_obs.Registry.incr (obs t) "lcm.dgram_errors");
           r))
 
 let await_reply t ~dst ~conv ~timeout_us =
@@ -396,7 +396,7 @@ let send_sync t ~dst ?(app_tag = 0) ?timeout_us payload =
           | Ok () ->
             t.counters.c_sent <- t.counters.c_sent + 1;
             t.counters.c_sync_calls <- t.counters.c_sync_calls + 1;
-            Ntcs_util.Metrics.incr (metrics t) "lcm.sync_sends";
+            Ntcs_obs.Registry.incr (obs t) "lcm.sync_sends";
             await_reply t ~dst ~conv ~timeout_us:(max 0 (deadline_us - Node.now t.node))))
 
 let reply t (env : envelope) ?(app_tag = 0) ?timeout_us payload =
@@ -498,9 +498,9 @@ let envelope_of t (d : Ip_layer.delivery) kind =
 let note_seq t src seq =
   match Hashtbl.find_opt t.last_seq src with
   | Some last when seq <= last ->
-    Ntcs_util.Metrics.incr (metrics t) "lcm.seq_regressions"
+    Ntcs_obs.Registry.incr (obs t) "lcm.seq_regressions"
   | Some last ->
-    if seq > last + 1 then Ntcs_util.Metrics.incr (metrics t) "lcm.seq_gaps";
+    if seq > last + 1 then Ntcs_obs.Registry.incr (obs t) "lcm.seq_gaps";
     Hashtbl.replace t.last_seq src seq
   | None -> Hashtbl.replace t.last_seq src seq
 
@@ -519,7 +519,7 @@ let handle_delivery t (d : Ip_layer.delivery) =
   in
   let to_inbox env =
     Sched.Mailbox.send t.app_inbox env;
-    Ntcs_obs.Registry.observe (metrics t) "lcm.inbox_depth"
+    Ntcs_obs.Registry.observe (obs t) "lcm.inbox_depth"
       (Sched.Mailbox.length t.app_inbox)
   in
   match h.Proto.kind with
@@ -533,7 +533,7 @@ let handle_delivery t (d : Ip_layer.delivery) =
     deliver_span ();
     match Hashtbl.find_opt t.waiting h.Proto.conv with
     | Some slot -> ignore (Sched.Ivar.try_fill slot.rs_ivar (Ok (envelope_of t d `Data)))
-    | None -> Ntcs_util.Metrics.incr (metrics t) "lcm.orphan_replies")
+    | None -> Ntcs_obs.Registry.incr (obs t) "lcm.orphan_replies")
   | Proto.Ping ->
     (* Answer from the dispatcher itself: liveness must not depend on the
        application draining its inbox. *)

@@ -81,7 +81,7 @@ let create node ~server_id ~wk_addr ?(peers = []) ?shard_map () =
     forward_timeout_us = 600_000;
   }
 
-let metrics t = Node.metrics t.node
+let obs t = Node.obs t.node
 
 let entry_of_record (r : record) =
   {
@@ -133,7 +133,7 @@ let generation t = t.inval_gen
    per-shard floor and turn stale hits into misses. *)
 let bump_gen t what =
   t.inval_gen <- t.inval_gen + 1;
-  Ntcs_util.Metrics.incr (metrics t) "ns.invalidations";
+  Ntcs_obs.Registry.incr (obs t) "ns.invalidations";
   Node.record t.node ~cat:"ns.shard.gen" ~actor:"name-server"
     (Printf.sprintf "shard %d gen %d: %s" (my_shard t) t.inval_gen what)
 
@@ -346,13 +346,14 @@ let route t ?commod ~name ~hop_note req local =
   | None, _ | _, None -> local ()
   | Some _, Some commod ->
     let shard = shard_of_name t name in
-    Ntcs_util.Metrics.incr (metrics t) "ns.shard.forwards";
-    Node.record t.node ~cat:"ns.shard.forward" ~actor:"name-server"
-      (Printf.sprintf "%s: shard %d -> %d hop %d" name (my_shard t) shard hop_note);
+    Ntcs_obs.Registry.incr (obs t) "ns.shard.forwards";
+    Node.event t.node ~actor:"name-server"
+      (Trace_event.Ns_shard_forward
+         { name; from_shard = my_shard t; to_shard = shard; hop = hop_note });
     (match forward_to_shard t commod ~shard req with
      | Some resp -> resp
      | None ->
-       Ntcs_util.Metrics.incr (metrics t) "ns.shard.fallbacks";
+       Ntcs_obs.Registry.incr (obs t) "ns.shard.fallbacks";
        Node.record t.node ~cat:"ns.shard.fallback" ~actor:"name-server"
          (Printf.sprintf "%s: shard %d answering for %d" name (my_shard t) shard);
        local ())
@@ -382,7 +383,7 @@ let handle_request t ?commod (req : Ns_proto.request) =
          bump_gen t ("re-register " ^ r_name)
        | _ -> ());
       db_insert t record;
-      Ntcs_util.Metrics.incr (metrics t) "ns.registrations";
+      Ntcs_obs.Registry.incr (obs t) "ns.registrations";
       Node.record t.node ~cat:"ns.register" ~actor:"name-server"
         (Printf.sprintf "%s -> %s" r_name (Addr.to_string addr));
       push_to_peers t [ record ];
@@ -391,13 +392,13 @@ let handle_request t ?commod (req : Ns_proto.request) =
     if owns t r_name then do_register ()
     else route t ?commod ~name:r_name ~hop_note:1 req do_register
   | Ns_proto.Lookup name -> (
-    Ntcs_util.Metrics.incr (metrics t) "ns.lookups";
+    Ntcs_obs.Registry.incr (obs t) "ns.lookups";
     match find_by_name t name with
     | Some r -> Ns_proto.R_addr r.r_addr
     | None -> Ns_proto.R_error "unknown-name")
   | Ns_proto.Lookup_v (name, hops) ->
-    Ntcs_util.Metrics.incr (metrics t) "ns.lookups";
-    Ntcs_util.Metrics.incr (metrics t)
+    Ntcs_obs.Registry.incr (obs t) "ns.lookups";
+    Ntcs_obs.Registry.incr (obs t)
       (Printf.sprintf "ns.shard%d.lookups" (my_shard t));
     let local () =
       match find_by_name t name with
@@ -411,15 +412,15 @@ let handle_request t ?commod (req : Ns_proto.request) =
     if owns t name || hops >= 1 then local ()
     else route t ?commod ~name ~hop_note:(hops + 1) (Ns_proto.Lookup_v (name, hops + 1)) local
   | Ns_proto.Lookup_attrs attrs ->
-    Ntcs_util.Metrics.incr (metrics t) "ns.attr_lookups";
+    Ntcs_obs.Registry.incr (obs t) "ns.attr_lookups";
     Ns_proto.R_entries (List.map entry_of_record (find_by_attrs t attrs))
   | Ns_proto.Resolve addr -> (
-    Ntcs_util.Metrics.incr (metrics t) "ns.resolves";
+    Ntcs_obs.Registry.incr (obs t) "ns.resolves";
     match Hashtbl.find_opt t.db addr with
     | Some r -> Ns_proto.R_entry (entry_of_record r)
     | None -> Ns_proto.R_error "unknown-address")
   | Ns_proto.Resolve_v addr -> (
-    Ntcs_util.Metrics.incr (metrics t) "ns.resolves";
+    Ntcs_obs.Registry.incr (obs t) "ns.resolves";
     match Hashtbl.find_opt t.db addr with
     | Some r ->
       (* The minting server's id *is* the owning shard for sharded
@@ -435,7 +436,7 @@ let handle_request t ?commod (req : Ns_proto.request) =
       Ns_proto.R_entry_v (entry_of_record r, shard, gen)
     | None -> Ns_proto.R_error "unknown-address")
   | Ns_proto.Forward old_addr -> (
-    Ntcs_util.Metrics.incr (metrics t) "ns.forward_queries";
+    Ntcs_obs.Registry.incr (obs t) "ns.forward_queries";
     match Hashtbl.find_opt t.db old_addr with
     | None -> Ns_proto.R_error "unknown-address"
     | Some old ->

@@ -66,7 +66,7 @@ and t = {
 }
 
 let sched t = Node.sched t.node
-let metrics t = Node.metrics t.node
+let obs t = Node.obs t.node
 let trace t ~cat detail = Node.record t.node ~cat ~actor:t.owner detail
 
 let my_addr t = t.my_addr
@@ -87,12 +87,12 @@ let is_me t addr =
    alias TAdd-sourced origins arriving over chained circuits, exactly as the
    ND-layer does for direct ones. *)
 let fresh_alias t =
-  Ntcs_util.Metrics.incr (Node.metrics t.node) "tadd.assigned";
+  Ntcs_obs.Registry.incr (Node.obs t.node) "tadd.assigned";
   Addr.Tadd_gen.fresh t.tadds
 
 let note_alias_purged t alias real =
   Hashtbl.replace t.alias_fwd alias real;
-  Ntcs_util.Metrics.incr (Node.metrics t.node) "tadd.purged"
+  Ntcs_obs.Registry.incr (Node.obs t.node) "tadd.purged"
 
 let my_listen_addrs t = List.map (fun a -> a.Std_if.acc_addr) t.acceptors
 
@@ -142,8 +142,8 @@ let hello_payload t =
 (* Common tail of the two send paths: metrics, span, hand the frame's byte
    range to the STD-IF, surface failure as a broken circuit. *)
 let send_view (c : circuit) (h : Proto.header) buf ~off ~len =
-  Ntcs_util.Metrics.incr (metrics c.nd) "nd.frames_sent";
-  Ntcs_obs.Registry.observe (metrics c.nd) "nd.tx_bytes" len;
+  Ntcs_obs.Registry.incr (obs c.nd) "nd.frames_sent";
+  Ntcs_obs.Registry.observe (obs c.nd) "nd.tx_bytes" len;
   (* A span-carrying frame leaving this machine is one hop of its logical
      send: an instant event, attributable via the header's ctx. *)
   if not (Ntcs_obs.Span.is_none h.Proto.span) then
@@ -168,7 +168,7 @@ let send_frame (c : circuit) (h : Proto.header) payload =
     let flen = Proto.header_bytes + Bytes.length payload in
     let buf = Ntcs_util.Pool.alloc pool flen in
     let v = Proto.Frame.encode_into h ~payload buf ~off:0 in
-    Ntcs_obs.Registry.observe (metrics c.nd) "frame.bytes_copied" (Bytes.length payload);
+    Ntcs_obs.Registry.observe (obs c.nd) "frame.bytes_copied" (Bytes.length payload);
     let r = send_view c (Proto.Frame.header v) buf ~off:0 ~len:flen in
     Ntcs_util.Pool.release pool buf;
     r
@@ -179,7 +179,7 @@ let send_frame (c : circuit) (h : Proto.header) payload =
 let forward_view (c : circuit) (v : Proto.Frame.t) =
   if not c.c_open then Error Errors.Circuit_failed
   else begin
-    Ntcs_obs.Registry.observe (metrics c.nd) "frame.bytes_copied" 0;
+    Ntcs_obs.Registry.observe (obs c.nd) "frame.bytes_copied" 0;
     send_view c (Proto.Frame.header v) (Proto.Frame.buf v) ~off:(Proto.Frame.off v)
       ~len:(Proto.Frame.len v)
   end
@@ -210,7 +210,7 @@ let upgrade_peer (c : circuit) (real : Addr.t) =
     c.peer_addr <- real;
     c.peer_announced <- real;
     register_circuit t real c;
-    Ntcs_util.Metrics.incr (metrics t) "tadd.purged";
+    Ntcs_obs.Registry.incr (obs t) "tadd.purged";
     trace t ~cat:"nd.tadd_purge"
       (Printf.sprintf "%s -> %s" (Addr.to_string alias) (Addr.to_string real))
   end
@@ -235,11 +235,11 @@ let handle_incoming (c : circuit) raw =
     (v, Proto.Frame.header v)
   with
   | exception (Proto.Bad_header m | Shift.Shift_error m) ->
-    Ntcs_util.Metrics.incr (metrics t) "nd.bad_frames";
+    Ntcs_obs.Registry.incr (obs t) "nd.bad_frames";
     trace t ~cat:"nd.bad_frame" m
   | v, h ->
-    Ntcs_util.Metrics.incr (metrics t) "nd.frames_recv";
-    Ntcs_obs.Registry.observe (metrics t) "nd.rx_bytes" (Bytes.length raw);
+    Ntcs_obs.Registry.incr (obs t) "nd.frames_recv";
+    Ntcs_obs.Registry.observe (obs t) "nd.rx_bytes" (Bytes.length raw);
     if not (Ntcs_obs.Span.is_none h.Proto.span) then
       World.span (Node.world t.node) ~ctx:h.Proto.span ~phase:Ntcs_obs.Span.I ~name:"nd.rx"
         ~actor:t.owner
@@ -320,7 +320,7 @@ let inbound_handshake t (lvc : Std_if.lvc) =
               (* §3.4: assign our own TAdd to an incoming connection from a
                  TAdd source — theirs is not unique to us. *)
               let alias = Addr.Tadd_gen.fresh t.tadds in
-              Ntcs_util.Metrics.incr (metrics t) "tadd.assigned";
+              Ntcs_obs.Registry.incr (obs t) "tadd.assigned";
               alias
             end
             else peer_real
@@ -428,7 +428,7 @@ let open_circuit t ~(phys : Phys_addr.t) =
                 let key =
                   if Addr.is_temporary peer_real then begin
                     let alias = Addr.Tadd_gen.fresh t.tadds in
-                    Ntcs_util.Metrics.incr (metrics t) "tadd.assigned";
+                    Ntcs_obs.Registry.incr (obs t) "tadd.assigned";
                     alias
                   end
                   else peer_real
@@ -451,8 +451,7 @@ let open_circuit t ~(phys : Phys_addr.t) =
                 register_circuit t key c;
                 cache_phys t peer_real c.peer_listen;
                 start_reader t c;
-                trace t ~cat:"nd.open" (Printf.sprintf "%s at %s" (Addr.to_string key)
-                                          (Phys_addr.to_string phys));
+                Node.event t.node ~actor:t.owner (Trace_event.Nd_open { peer = key; phys });
                 Ok c
             end)))
   end
@@ -482,7 +481,7 @@ let create node ~owner ?allowed_nets ?(fixed = []) () =
     }
   in
   t.my_addr <- Addr.Tadd_gen.fresh t.tadds;
-  Ntcs_util.Metrics.incr (metrics t) "tadd.assigned";
+  Ntcs_obs.Registry.incr (obs t) "tadd.assigned";
   let machine = Node.machine node in
   let nets =
     match allowed_nets with Some nets -> nets | None -> Node.my_nets node

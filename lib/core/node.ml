@@ -99,11 +99,13 @@ let make ?(config = default_config) ~world ~ipcs ~machine () =
 
 let world t = t.world
 let sched t = World.sched t.world
-let metrics t = World.metrics t.world
+let obs t = World.obs t.world
 let machine t = t.machine
 let now t = World.now t.world
 
 let record t ~cat ~actor detail = World.record t.world ~cat ~actor detail
+
+let event t ~actor ev = World.record_event t.world ~cat:(Trace_event.cat ev) ~actor ev
 
 let my_order t = match Machine.byte_order t.machine.Machine.mtype with
   | Machine.Little_endian -> Ntcs_wire.Endian.Le

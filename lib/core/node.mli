@@ -70,10 +70,13 @@ val make :
 
 val world : t -> World.t
 val sched : t -> Sched.t
-val metrics : t -> Ntcs_util.Metrics.t
+val obs : t -> Ntcs_obs.Registry.t
 val machine : t -> Machine.t
 val now : t -> int
 val record : t -> cat:string -> actor:string -> string -> unit
+
+val event : t -> actor:string -> Ntcs_sim.Trace.event -> unit
+(** Trace a {!Trace_event}, under its own category. *)
 
 val my_order : t -> Ntcs_wire.Endian.order
 (** This machine's native byte order. *)

@@ -65,7 +65,7 @@ let create ?(owner = "nsp") node lcm =
     last_good = None;
   }
 
-let metrics t = Node.metrics t.node
+let obs t = Node.obs t.node
 
 let ttl t = t.node.Node.config.Node.ns_cache_ttl_us
 
@@ -74,11 +74,7 @@ let sharded t = t.shard_map <> None
 (* The cache-coherence trace (Check_naming): hit / stale / store / invalidate
    events, emitted only under a sharded naming plane so classic single-NS
    traces are unchanged. *)
-let cache_event t cat detail =
-  if sharded t then Node.record t.node ~cat ~actor:t.owner detail
-
-let kv_detail kind key ~shard ~gen =
-  Printf.sprintf "%s:%s shard %d gen %d" kind key shard gen
+let cache_event t ev = if sharded t then Node.event t.node ~actor:t.owner ev
 
 (* Fold a generation observation from a versioned answer into both caches'
    per-shard floors. Retired entries are invalidated lazily: they report
@@ -91,21 +87,22 @@ let note_generation t ~shard ~gen =
       Ns_cache.note_generation t.name_cache ~shard ~gen
       + Ns_cache.note_generation t.entry_cache ~shard ~gen
     in
-    Ntcs_util.Metrics.incr (metrics t) "nsp.cache_invalidations";
-    cache_event t "ns.cache.invalidate"
-      (Printf.sprintf "shard %d floor %d dropped %d" shard gen dropped)
+    Ntcs_obs.Registry.incr (obs t) "nsp.cache_invalidations";
+    cache_event t
+      (Trace_event.Ns_cache_invalidate
+         { cause = Trace_event.Floor_raised { shard; floor = gen }; dropped })
   end
 
 (* Store an authoritative answer in [cache]. Observation first, then the
    store: the new entry must not be retired by its own generation. The
    recorded generation is the clamped one actually stored, so per-shard
    store generations are non-decreasing in the trace (Check_naming). *)
-let store t cache key_str cache_key ~value ~kind ~shard ~gen =
+let store t cache trace_key cache_key ~value ~shard ~gen =
   if ttl t > 0 then begin
     note_generation t ~shard ~gen;
     let stored_gen = max gen (Ns_cache.floor cache ~shard) in
     Ns_cache.store cache cache_key ~value ~shard ~gen ~expiry:(Node.now t.node + ttl t);
-    cache_event t "ns.cache.store" (kv_detail kind key_str ~shard ~gen:stored_gen)
+    cache_event t (Trace_event.Ns_cache_store { key = trace_key; shard; gen = stored_gen })
   end
 
 let error_of_string = function
@@ -125,7 +122,7 @@ let request_prefer ?prefer t (req : Ns_proto.request) =
   let payload = Convert.payload_raw (Ns_proto.pack_request req) in
   let started = Node.now t.node in
   let one_pass ~attempt =
-    if attempt > 1 then Ntcs_util.Metrics.incr (metrics t) "nsp.retry_cycles";
+    if attempt > 1 then Ntcs_obs.Registry.incr (obs t) "nsp.retry_cycles";
     let front =
       match (prefer, t.last_good) with
       | Some p, Some g when not (Addr.equal p g) -> [ p; g ]
@@ -142,13 +139,13 @@ let request_prefer ?prefer t (req : Ns_proto.request) =
     let rec failover = function
       | [] -> Error Errors.Name_service_unavailable
       | ns :: rest -> (
-        Ntcs_util.Metrics.incr (metrics t) "nsp.requests";
+        Ntcs_obs.Registry.incr (obs t) "nsp.requests";
         match
           Lcm_layer.send_sync t.lcm ~dst:ns ~app_tag:Ns_proto.app_tag
             ~timeout_us:t.node.Node.config.Node.default_timeout_us payload
         with
         | Error _ when rest <> [] ->
-          Ntcs_util.Metrics.incr (metrics t) "nsp.failovers";
+          Ntcs_obs.Registry.incr (obs t) "nsp.failovers";
           failover rest
         | Error _ -> Error Errors.Name_service_unavailable
         | Ok env -> (
@@ -166,7 +163,7 @@ let request_prefer ?prefer t (req : Ns_proto.request) =
     Retry.run (Node.sched t.node) ~rng:t.rng t.node.Node.config.Node.ns_retry
       ~retryable:Errors.retryable one_pass
   in
-  Ntcs_obs.Registry.observe (metrics t) "nsp.request_us" (Node.now t.node - started);
+  Ntcs_obs.Registry.observe (obs t) "nsp.request_us" (Node.now t.node - started);
   result
 
 let request t req = request_prefer t req
@@ -195,17 +192,18 @@ let register t ~name ~phys ~nets ~order ~attrs =
 let lookup t name =
   match Ns_cache.find t.name_cache ~now:(Node.now t.node) name with
   | Ns_cache.Hit (addr, shard, gen) ->
-    Ntcs_util.Metrics.incr (metrics t) "nsp.cache_hits";
-    cache_event t "ns.cache.hit" (kv_detail "name" name ~shard ~gen);
+    Ntcs_obs.Registry.incr (obs t) "nsp.cache_hits";
+    cache_event t (Trace_event.Ns_cache_hit { key = Trace_event.Name name; shard; gen });
     Ok addr
   | (Ns_cache.Stale _ | Ns_cache.Miss) as outcome -> (
     (match outcome with
      | Ns_cache.Stale (_, shard, gen) ->
        (* The shard invalidated this generation: a miss plus a fresh
           lookup, never a delivery on the old circuit. *)
-       Ntcs_util.Metrics.incr (metrics t) "nsp.cache_stale";
-       cache_event t "ns.cache.stale" (kv_detail "name" name ~shard ~gen)
-     | _ -> Ntcs_util.Metrics.incr (metrics t) "nsp.cache_misses");
+       Ntcs_obs.Registry.incr (obs t) "nsp.cache_stale";
+       cache_event t
+         (Trace_event.Ns_cache_stale { key = Trace_event.Name name; shard; gen })
+     | _ -> Ntcs_obs.Registry.incr (obs t) "nsp.cache_misses");
     match t.shard_map with
     | Some m -> (
       match
@@ -213,14 +211,14 @@ let lookup t name =
           (Ns_proto.Lookup_v (name, 0))
       with
       | Ok (Ns_proto.R_addr_v (addr, shard, gen)) ->
-        store t t.name_cache name name ~value:addr ~kind:"name" ~shard ~gen;
+        store t t.name_cache (Trace_event.Name name) name ~value:addr ~shard ~gen;
         Ok addr
       | Ok _ -> Error protocol_error
       | Error _ as e -> e)
     | None -> (
       match request t (Ns_proto.Lookup name) with
       | Ok (Ns_proto.R_addr addr) ->
-        store t t.name_cache name name ~value:addr ~kind:"name" ~shard:0 ~gen:0;
+        store t t.name_cache (Trace_event.Name name) name ~value:addr ~shard:0 ~gen:0;
         Ok addr
       | Ok _ -> Error protocol_error
       | Error _ as e -> e))
@@ -232,22 +230,23 @@ let lookup_attrs t attrs =
   | Error _ as e -> e
 
 let resolve t addr =
-  let key = Addr.to_string addr in
   match Ns_cache.find t.entry_cache ~now:(Node.now t.node) addr with
   | Ns_cache.Hit (entry, shard, gen) ->
-    Ntcs_util.Metrics.incr (metrics t) "nsp.cache_hits";
-    cache_event t "ns.cache.hit" (kv_detail "addr" key ~shard ~gen);
+    Ntcs_obs.Registry.incr (obs t) "nsp.cache_hits";
+    cache_event t
+      (Trace_event.Ns_cache_hit { key = Trace_event.Address addr; shard; gen });
     Ok entry
   | (Ns_cache.Stale _ | Ns_cache.Miss) as outcome -> (
     (match outcome with
      | Ns_cache.Stale (_, shard, gen) ->
-       Ntcs_util.Metrics.incr (metrics t) "nsp.cache_stale";
-       cache_event t "ns.cache.stale" (kv_detail "addr" key ~shard ~gen)
-     | _ -> Ntcs_util.Metrics.incr (metrics t) "nsp.cache_misses");
+       Ntcs_obs.Registry.incr (obs t) "nsp.cache_stale";
+       cache_event t
+         (Trace_event.Ns_cache_stale { key = Trace_event.Address addr; shard; gen })
+     | _ -> Ntcs_obs.Registry.incr (obs t) "nsp.cache_misses");
     if sharded t then begin
       match request t (Ns_proto.Resolve_v addr) with
       | Ok (Ns_proto.R_entry_v (e, shard, gen)) ->
-        store t t.entry_cache key addr ~value:e ~kind:"addr" ~shard ~gen;
+        store t t.entry_cache (Trace_event.Address addr) addr ~value:e ~shard ~gen;
         Ok e
       | Ok _ -> Error protocol_error
       | Error _ as err -> err
@@ -255,7 +254,7 @@ let resolve t addr =
     else begin
       match request t (Ns_proto.Resolve addr) with
       | Ok (Ns_proto.R_entry e) ->
-        store t t.entry_cache key addr ~value:e ~kind:"addr" ~shard:0 ~gen:0;
+        store t t.entry_cache (Trace_event.Address addr) addr ~value:e ~shard:0 ~gen:0;
         Ok e
       | Ok _ -> Error protocol_error
       | Error _ as err -> err
@@ -275,17 +274,19 @@ let splice t ~old_addr ~fresh =
   (match (!dead_names, dropped) with
    | [], 0 -> ()
    | _ ->
-     cache_event t "ns.cache.invalidate"
-       (Printf.sprintf "splice addr:%s dropped %d"
-          (Addr.to_string old_addr)
-          (dropped + List.length !dead_names)));
+     cache_event t
+       (Trace_event.Ns_cache_invalidate
+          {
+            cause = Trace_event.Spliced old_addr;
+            dropped = dropped + List.length !dead_names;
+          }));
   match fresh with
   | None ->
     List.iter (fun (name, _) -> Ns_cache.remove t.name_cache name) !dead_names
   | Some fresh ->
     List.iter
       (fun (name, shard) ->
-        store t t.name_cache name name ~value:fresh ~kind:"name" ~shard ~gen:0)
+        store t t.name_cache (Trace_event.Name name) name ~value:fresh ~shard ~gen:0)
       (List.rev !dead_names)
 
 (* Address-fault query (§3.5): never cached — the whole point is that the
@@ -310,7 +311,7 @@ let note_relocated t ~old_addr ~fresh = splice t ~old_addr ~fresh:(Some fresh)
 let gateways t =
   match t.gw_cache with
   | Some (entries, stamp) when ttl t > 0 && Node.now t.node <= stamp ->
-    Ntcs_util.Metrics.incr (metrics t) "nsp.cache_hits";
+    Ntcs_obs.Registry.incr (obs t) "nsp.cache_hits";
     Ok entries
   | Some _ | None -> (
     match request t Ns_proto.List_gateways with

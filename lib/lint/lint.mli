@@ -1,7 +1,8 @@
 (** Static-analysis driver: walks source trees, runs the layering (R1) and
     determinism (R2) rule families plus pragma well-formedness on every
-    [.ml]/[.mli], and aggregates sorted diagnostics. Trace-based invariants
-    (R3) live in {!Lint_trace} and run from tests. *)
+    [.ml]/[.mli], and aggregates sorted diagnostics. R3's trace-based
+    invariants need the core event types, so they live in the check
+    library ([Check_invariants]) and run under ntcs_check and the tests. *)
 
 val source_files : string list -> string list
 (** Every [.ml]/[.mli] under the given files/directories, walked in sorted

@@ -4,17 +4,19 @@
    know *why* and *by whom* a layer is called is addressed by recording both
    a category and an actor for every entry. *)
 
+type event = ..
+type event += Text of string
+
 type entry = {
   at_us : int;
   cat : string; (* e.g. "nd.open", "lcm.fault", "gw.forward" *)
   actor : string; (* process name *)
-  detail : string;
+  event : event;
 }
 
 type t = {
   mutable entries : entry list; (* newest first *)
   mutable count : int;
-  mutable enabled : bool;
   mutable cats : string list; (* empty = record everything *)
   interned : (string, string * int ref) Hashtbl.t;
       (* category -> (the one shared copy, recorded-entry count). Call sites
@@ -24,9 +26,7 @@ type t = {
 }
 
 let create () =
-  { entries = []; count = 0; enabled = true; cats = []; interned = Hashtbl.create 32 }
-
-let set_enabled t b = t.enabled <- b
+  { entries = []; count = 0; cats = []; interned = Hashtbl.create 32 }
 
 let set_filter t cats = t.cats <- cats
 
@@ -38,13 +38,25 @@ let intern t cat =
     Hashtbl.replace t.interned cat v;
     v
 
-let record t ~at_us ~cat ~actor detail =
-  if t.enabled && (t.cats = [] || List.exists (fun p -> p = cat) t.cats) then begin
+let record_event t ~at_us ~cat ~actor event =
+  if t.cats = [] || List.exists (fun p -> p = cat) t.cats then begin
     let cat, seen = intern t cat in
     incr seen;
-    t.entries <- { at_us; cat; actor; detail } :: t.entries;
+    t.entries <- { at_us; cat; actor; event } :: t.entries;
     t.count <- t.count + 1
   end
+
+let record t ~at_us ~cat ~actor detail = record_event t ~at_us ~cat ~actor (Text detail)
+
+(* The text of the typed events. Entries hold data only (no closures, so
+   [=] and [compare] work on them); their text is produced here, when the
+   trace is read. *)
+(* lint: allow domsafe(renderer) — set once at initialisation, before any domain spawns *)
+let renderer = ref (fun (_ : event) -> "<unrendered event>")
+
+let set_renderer f = renderer := f
+
+let detail e = match e.event with Text s -> s | ev -> !renderer ev
 
 let categories t =
   Ntcs_util.sorted_bindings t.interned
@@ -54,12 +66,6 @@ let entries t = List.rev t.entries
 
 let count t = t.count
 
-let clear t =
-  t.entries <- [];
-  t.count <- 0;
-  (* lint: allow determinism(Hashtbl.iter) — zeroing every per-category counter is order-free *)
-  Hashtbl.iter (fun _ (_, n) -> n := 0) t.interned
-
 let matching t ~cat = List.filter (fun e -> e.cat = cat) (entries t)
 
 let matching_prefix t ~prefix =
@@ -68,6 +74,6 @@ let matching_prefix t ~prefix =
     (fun e -> String.length e.cat >= n && String.sub e.cat 0 n = prefix)
     (entries t)
 
-let pp_entry ppf e = Fmt.pf ppf "[%8dus] %-16s %-20s %s" e.at_us e.cat e.actor e.detail
+let pp_entry ppf e = Fmt.pf ppf "[%8dus] %-16s %-20s %s" e.at_us e.cat e.actor (detail e)
 
 let dump ppf t = List.iter (fun e -> Fmt.pf ppf "%a@." pp_entry e) (entries t)

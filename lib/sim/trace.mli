@@ -5,32 +5,49 @@
     complaint — one must know {i why} a layer is called and {i who} called
     it — by recording a category and an actor with every entry. *)
 
+type event = ..
+(** What an entry says. Free-text categories carry {!Text}. Each category a
+    monitor reads has one typed constructor instead ([Ntcs.Trace_event]),
+    recorded with plain fields and rendered to text only when the trace is
+    read, so monitors match fields and one renderer owns each format. *)
+
+type event += Text of string
+
 type entry = {
   at_us : int;
   cat : string;  (** e.g. ["nd.open"], ["lcm.fault"], ["gw.splice"] *)
   actor : string;  (** module (process) name *)
-  detail : string;
+  event : event;
 }
 
 type t
 
 val create : unit -> t
-val set_enabled : t -> bool -> unit
 
 val set_filter : t -> string list -> unit
 (** Record only these categories ([[]] = everything) — the "adequate
     selectivity" of §6.2. *)
 
 val record : t -> at_us:int -> cat:string -> actor:string -> string -> unit
-(** Categories are interned: the stored entry shares one copy of the
-    category string per trace, so the hot path does not allocate. *)
+(** Record a free-text entry. Categories are interned: the stored entry
+    shares one copy of the category string per trace, so the hot path does
+    not allocate category strings. *)
+
+val record_event : t -> at_us:int -> cat:string -> actor:string -> event -> unit
+(** {!record} for a typed event. *)
+
+val set_renderer : (event -> string) -> unit
+(** Install the text of the typed events (every constructor but {!Text}).
+    The module defining them calls this once, when it is initialised. *)
+
+val detail : entry -> string
+(** The entry's text: a {!Text} as recorded, a typed event rendered. *)
 
 val categories : t -> (string * int) list
 (** Every category recorded so far with its entry count, sorted by name. *)
 
 val entries : t -> entry list
 val count : t -> int
-val clear : t -> unit
 val matching : t -> cat:string -> entry list
 val matching_prefix : t -> prefix:string -> entry list
 val pp_entry : Format.formatter -> entry -> unit

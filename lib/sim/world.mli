@@ -91,22 +91,23 @@ val set_label : t -> string -> unit
     {!Sched.set_label}). *)
 
 val label : t -> string
-val metrics : t -> Ntcs_util.Metrics.t
 val trace : t -> Trace.t
 val rng : t -> Ntcs_util.Rng.t
 val now : t -> int
 
 val pool : t -> Ntcs_util.Pool.t
 (** The world's frame-buffer freelist. Shared by every stack in the world;
-    hit/miss/in-use statistics land in {!metrics} under [pool.*]. *)
+    hit/miss/in-use statistics land in {!obs} under [pool.*]. *)
 
 val obs : t -> Ntcs_obs.Registry.t
-(** The world's observability registry — the same value as {!metrics}
-    ([Metrics.t = Ntcs_obs.Registry.t]), under its full interface:
-    histograms, causal spans and the circuit-id allocator. *)
+(** The world's observability registry: counters and gauges, histograms,
+    causal spans and the circuit-id allocator. *)
 
 val record : t -> cat:string -> actor:string -> string -> unit
-(** Trace an event at the current virtual time. *)
+(** Trace a free-text event at the current virtual time. *)
+
+val record_event : t -> cat:string -> actor:string -> Trace.event -> unit
+(** Trace a typed event at the current virtual time. *)
 
 val observe : t -> string -> int -> unit
 (** Record a histogram sample at the current virtual time. *)

@@ -4,7 +4,6 @@
 
 module Bqueue = Bqueue
 module Lru = Lru
-module Metrics = Metrics
 module Pool = Pool
 module Rng = Rng
 module Stats = Stats

@@ -18,8 +18,7 @@ let test_automaton_sound () =
   Alcotest.(check (list string)) "structurally sound" [] (Check_auto.check_automaton ())
 
 let test_automaton_tables_cover_protocol () =
-  (* Every kind the table declares maps to some handler list; the dynamic
-     checker's vocabulary (inputs_of) round-trips through the table. *)
+  (* Every kind the table declares maps to some handler list. *)
   Alcotest.(check int) "eleven kinds" 11 (List.length Check_auto.kinds);
   Alcotest.(check int) "eleven requests" 11 (List.length Check_auto.ns_requests);
   Alcotest.(check int) "ten responses" 10 (List.length Check_auto.ns_responses)
@@ -123,53 +122,77 @@ let test_hook_edges_exist () =
 
 (* --- the lifecycle trace checker (dynamic) --- *)
 
-let e at cat detail = { Ntcs_sim.Trace.at_us = at; cat; actor = "gw0"; detail }
+module Ev = Ntcs.Trace_event
+
+let entry actor at ev = { Ntcs_sim.Trace.at_us = at; cat = Ev.cat ev; actor; event = ev }
+let e at ev = entry "gw0" at ev
+let x = Ntcs.Addr.unique ~server_id:1 ~value:1
+let route = { Ev.in_net = 0; in_label = 7; out_net = 1; out_label = 8 }
+let splice = Ev.Gw_splice { route; dst = x }
+let forward =
+  Ev.Gw_forward { route; kind = Ntcs.Proto.Data; dst = x; span = Ntcs_obs.Span.none }
+let close = Ev.Gw_close route
 
 let test_trace_legal_splice () =
-  let good =
-    [
-      e 1 "gw.splice" "net0 label 7 <-> net1 label 8 dst=x";
-      e 2 "gw.forward" "net0 label 7 -> net1 label 8 kind=data dst=x";
-      e 3 "gw.close" "net0 label 7 <-> net1 label 8";
-    ]
-  in
+  let good = [ e 1 splice; e 2 forward; e 3 close ] in
   Alcotest.(check int) "legal lifecycle" 0 (List.length (Check_lifecycle.check good))
 
 let test_trace_forward_after_close () =
-  let bad =
-    [
-      e 1 "gw.splice" "net0 label 7 <-> net1 label 8 dst=x";
-      e 2 "gw.close" "net0 label 7 <-> net1 label 8";
-      e 3 "gw.forward" "net0 label 7 -> net1 label 8 kind=data dst=x";
-    ]
-  in
+  let bad = [ e 1 splice; e 2 close; e 3 forward ] in
   let vs = Check_lifecycle.check bad in
   (* both legs of the splice report the §4.3 ordering violation *)
   Alcotest.(check int) "both legs flagged" 2 (List.length vs);
   List.iter
     (fun v ->
-      Alcotest.(check string) "invariant" "lifecycle" v.Lint_trace.v_invariant;
-      Alcotest.(check int) "at the forward" 3 v.Lint_trace.v_at_us)
+      Alcotest.(check string) "invariant" "lifecycle" v.Check_invariants.v_invariant;
+      Alcotest.(check int) "at the forward" 3 v.Check_invariants.v_at_us)
     vs
 
 let test_trace_forward_before_splice () =
-  let bad = [ e 1 "gw.forward" "net0 label 7 -> net1 label 8 kind=data dst=x" ] in
+  let bad = [ e 1 forward ] in
   Alcotest.(check int) "traffic on unopened legs" 2
     (List.length (Check_lifecycle.check bad))
 
 let test_trace_endpoint_lifecycle () =
-  let m cat detail at = { Ntcs_sim.Trace.at_us = at; cat; actor = "m1"; detail } in
+  let m at ev = entry "m1" at ev in
   let good =
     [
-      m "ip.ivc_open_sent" "label 5 to a!b" 1;
-      m "ip.ivc_open" "to a!b via 1 hop(s) label 5" 2;
-      m "ip.ivc_close" "label 5 peer a!b local reason=shutdown" 3;
+      m 1 (Ev.Ip_ivc_open_sent { label = 5; dst = x });
+      m 2 (Ev.Ip_ivc_open { dst = x; hops = 1; label = 5 });
+      m 3 (Ev.Ip_ivc_close { label = 5; peer = x; side = Ev.Local "shutdown" });
     ]
   in
   Alcotest.(check int) "legal endpoint lifecycle" 0 (List.length (Check_lifecycle.check good));
-  let bad = good @ [ m "ip.ivc_reject" "label 5" 4 ] in
+  let bad = good @ [ m 4 (Ev.Ip_ivc_reject { label = 5 }) ] in
   let vs = Check_lifecycle.check bad in
   Alcotest.(check int) "reject while draining" 1 (List.length vs)
+
+(* §4.3 teardown through a gateway: a chained IVC closed at its origin
+   sends IVC_CLOSE across the splice, and the gateway forwards it before
+   tearing the splice down. *)
+let test_trace_close_across_gateway () =
+  let open Helpers in
+  let c = two_net_cluster () in
+  Ntcs.Cluster.settle c;
+  spawn_echo c ~machine:"vax1" ~name:"echo";
+  Ntcs.Cluster.settle c;
+  let closed =
+    in_process c ~machine:"ap2" ~name:"client" (fun node ->
+        let commod = bind_exn node ~name:"client" in
+        let dst = check_ok "locate" (Ntcs.Ali_layer.locate commod "echo") in
+        ignore (check_ok "echo" (Ntcs.Ali_layer.send_sync commod ~dst (raw "x")));
+        Ntcs.Ip_layer.forget_peer (Ntcs.Commod.ip commod) dst)
+  in
+  Ntcs.Cluster.settle c;
+  closed ();
+  let entries = Ntcs_sim.Trace.entries (Ntcs_sim.World.trace (Ntcs.Cluster.world c)) in
+  let seen p = List.exists (fun (e : Ntcs_sim.Trace.entry) -> p e.event) entries in
+  Alcotest.(check bool) "the close crossed the gateway" true
+    (seen (function Ev.Gw_forward { kind = Ntcs.Proto.Ivc_close; _ } -> true | _ -> false));
+  Alcotest.(check bool) "the splice was torn down" true
+    (seen (function Ev.Gw_close _ -> true | _ -> false));
+  Alcotest.(check (list string)) "lifecycle clean" []
+    (List.map (Fmt.str "%a" Check_invariants.pp_violation) (Check_lifecycle.check entries))
 
 (* --- the explorer --- *)
 
@@ -317,6 +340,7 @@ let () =
           Alcotest.test_case "forward after close" `Quick test_trace_forward_after_close;
           Alcotest.test_case "forward before splice" `Quick test_trace_forward_before_splice;
           Alcotest.test_case "endpoint lifecycle" `Quick test_trace_endpoint_lifecycle;
+          Alcotest.test_case "close across a gateway" `Quick test_trace_close_across_gateway;
         ] );
       ( "explorer",
         [

@@ -29,10 +29,10 @@ let run_once seed =
    | Some _ -> ()
    | None -> Alcotest.fail "no fetch reply");
   let trace_txt = Fmt.str "%a" Ntcs_sim.Trace.dump (Ntcs_sim.World.trace (Cluster.world c)) in
-  let metrics_txt = Fmt.str "%a" Ntcs_util.Metrics.pp (Cluster.metrics c) in
+  let metrics_txt = Fmt.str "%a" Ntcs_obs.Registry.pp_stats (Cluster.obs c) in
   let entries = Ntcs_sim.Trace.entries (Ntcs_sim.World.trace (Cluster.world c)) in
   let recursion_limit = (Cluster.config c).Node.recursion_limit in
-  let spans_txt = Ntcs_obs.Export.spans_jsonl (Cluster.metrics c) in
+  let spans_txt = Ntcs_obs.Export.spans_jsonl (Cluster.obs c) in
   (trace_txt, metrics_txt, entries, recursion_limit, spans_txt)
 
 (* Byte equality, but fail with the first differing line instead of dumping
@@ -100,7 +100,7 @@ let run_once_faulty seed =
    | Some env -> Alcotest.(check string) "echo under faults" "echo:f" (body env)
    | None -> Alcotest.fail "no faulty echo");
   let trace_txt = Fmt.str "%a" Ntcs_sim.Trace.dump (Ntcs_sim.World.trace (Cluster.world c)) in
-  let metrics_txt = Fmt.str "%a" Ntcs_util.Metrics.pp (Cluster.metrics c) in
+  let metrics_txt = Fmt.str "%a" Ntcs_obs.Registry.pp_stats (Cluster.obs c) in
   let entries = Ntcs_sim.Trace.entries (Ntcs_sim.World.trace (Cluster.world c)) in
   (trace_txt, metrics_txt, entries)
 
@@ -130,11 +130,11 @@ let test_r3_invariants_hold () =
     (List.exists (fun e -> e.Ntcs_sim.Trace.cat = "ip.convert") entries);
   Alcotest.(check bool) "trace saw recursion depth marks" true
     (List.exists (fun e -> e.Ntcs_sim.Trace.cat = "lcm.depth") entries);
-  match Lint_trace.check_all ~recursion_limit entries with
+  match Check_invariants.check_all ~recursion_limit entries with
   | [] -> ()
   | vs ->
     Alcotest.failf "R3 violations on a healthy run:@.%s"
-      (String.concat "\n" (List.map (Fmt.str "%a" Lint_trace.pp_violation) vs))
+      (String.concat "\n" (List.map (Fmt.str "%a" Check_invariants.pp_violation) vs))
 
 (* Rendered telemetry pinned across code changes, not only run against run:
    the digests below were captured from the Printf-based renderers, so any
@@ -188,12 +188,84 @@ let run_hetero seed =
   Alcotest.(check bool) "packed mode on the wire" true
     (List.exists
        (fun e ->
-         e.Ntcs_sim.Trace.cat = "ip.convert"
-         && String.length e.Ntcs_sim.Trace.detail >= 11
-         && String.sub e.Ntcs_sim.Trace.detail 0 11 = "mode=packed")
+         match e.Ntcs_sim.Trace.event with
+         | Trace_event.Ip_convert { mode = Ntcs_wire.Convert.Packed; _ } -> true
+         | _ -> false)
        entries);
+  (* A chain through three gateways is where peering and conversion
+     mistakes would show. *)
+  Alcotest.(check (list string)) "R3 invariants over three gateways" []
+    (List.map (Fmt.str "%a" Check_invariants.pp_violation)
+       (Check_invariants.check_all entries));
   ( Fmt.str "%a" Ntcs_sim.Trace.dump (Ntcs_sim.World.trace (Cluster.world c)),
-    Ntcs_obs.Export.spans_jsonl (Cluster.metrics c) )
+    Ntcs_obs.Export.spans_jsonl (Cluster.obs c) )
+
+(* The sharded naming plane (DESIGN.md §15): four shard servers and NSP
+   lookup caches. A client stores and hits a name and an address, a
+   deregistration on the same shard bumps its generation, the next answer
+   from that shard raises the client's floor (the cached name goes stale
+   and is stored again), and a lookup planted on a non-owner is forwarded
+   one hop to the owner. *)
+let run_sharded seed =
+  let on_shard s prefix =
+    let rec pick i =
+      let n = prefix ^ string_of_int i in
+      if Ntcs_naming.Shard_map.hash_name n mod 4 = s then n else pick (i + 1)
+    in
+    pick 0
+  in
+  let c =
+    Cluster.build ~seed
+      ~config:
+        {
+          Ntcs_sim.World.Config.default with
+          Ntcs_sim.World.Config.naming =
+            { Ntcs_sim.World.Config.shards = 4; cache_capacity = 64 };
+        }
+      ~nets:[ ("ether", Ntcs_sim.Net.Tcp_lan) ]
+      ~machines:
+        [
+          ("vax1", Ntcs_sim.Machine.Vax, [ "ether" ]);
+          ("sun1", Ntcs_sim.Machine.Sun3, [ "ether" ]);
+          ("sun2", Ntcs_sim.Machine.Sun3, [ "ether" ]);
+          ("ap1", Ntcs_sim.Machine.Apollo, [ "ether" ]);
+        ]
+      ~ns:"vax1" ~ns_replicas:[ "sun1"; "sun2" ] ()
+  in
+  Cluster.settle ~dt:12_000_000 c;
+  let svc = on_shard 2 "svc" and peer = on_shard 2 "peer" and tmp = on_shard 2 "tmp" in
+  spawn_echo c ~machine:"ap1" ~name:svc;
+  spawn_echo c ~machine:"ap1" ~name:peer;
+  Cluster.settle ~dt:6_000_000 c;
+  let finished = ref false in
+  ignore
+    (Cluster.spawn c ~machine:"sun2" ~name:"client" (fun node ->
+         let commod = bind_exn node ~name:"client" in
+         let addr = check_ok "locate" (Ali_layer.locate commod svc) in
+         ignore (check_ok "cached locate" (Ali_layer.locate commod svc));
+         ignore (check_ok "entry" (Ali_layer.locate_entry commod addr));
+         ignore (check_ok "cached entry" (Ali_layer.locate_entry commod addr));
+         Ntcs_sim.Sched.sleep (Node.sched node) 4_000_000;
+         ignore (check_ok "floor raise" (Ali_layer.locate commod peer));
+         ignore (check_ok "stale locate" (Ali_layer.locate commod svc));
+         ignore (check_ok "fresh locate" (Ali_layer.locate commod svc));
+         let routed =
+           Lcm_layer.send_sync (Commod.lcm commod)
+             ~dst:(Addr.unique ~server_id:0 ~value:0)
+             ~app_tag:Ns_proto.app_tag
+             (Ntcs_wire.Convert.payload_raw
+                (Ns_proto.pack_request (Ns_proto.Lookup_v (svc, 0))))
+         in
+         ignore (check_ok "routed lookup" routed);
+         finished := true));
+  Cluster.settle ~dt:2_000_000 c;
+  ignore
+    (Cluster.spawn c ~machine:"ap1" ~name:"tmp" (fun node ->
+         Commod.close (bind_exn node ~name:tmp)));
+  Cluster.settle ~dt:10_000_000 c;
+  Alcotest.(check bool) "sharded workload completed" true !finished;
+  ( Fmt.str "%a" Ntcs_sim.Trace.dump (Ntcs_sim.World.trace (Cluster.world c)),
+    Ntcs_obs.Export.spans_jsonl (Cluster.obs c) )
 
 let check_digest label want text =
   Alcotest.(check string) label want (Digest.to_hex (Digest.string text))
@@ -204,7 +276,86 @@ let test_rendered_golden () =
   check_digest "run_once 42 spans" "4837e7ee04d0961ddc63f67ba3366f5a" spans;
   let trace, spans = run_hetero 42 in
   check_digest "3-gateway hetero trace" "2ac218ed5ae281cfa3232dba4068ee73" trace;
-  check_digest "3-gateway hetero spans" "bea52a90f31692c6e63da66cb61c9f86" spans
+  check_digest "3-gateway hetero spans" "bea52a90f31692c6e63da66cb61c9f86" spans;
+  let trace, spans = run_sharded 42 in
+  check_digest "sharded naming trace" "fa63846ca478cc1df8fd02518d30772d" trace;
+  check_digest "sharded naming spans" "09b29e8f6bbed7b04a3550cb1804e22d" spans
+
+(* One sample of every typed trace event and the text the Printf-based
+   emitters wrote for it, captured from traces of the same exchanges
+   (the local-close line from its format string, which no captured run
+   reached). A typed event's category is a string in Trace_event, not a
+   [~cat:"..."] literal, so lint R4 cannot see it: the manifest check is
+   here. *)
+let test_typed_event_texts () =
+  let module Ev = Trace_event in
+  let u s v = Addr.unique ~server_id:s ~value:v in
+  let tmp s v = Addr.temporary ~assigner:s ~value:v in
+  let route in_net in_label out_net out_label = { Ev.in_net; in_label; out_net; out_label } in
+  let span c s = Ntcs_obs.Span.make ~circuit:c ~seq:s in
+  let conv ?(forced = false) mode local remote dst =
+    Ev.Ip_convert { mode; local; remote; dst; forced }
+  in
+  let open Ntcs_wire in
+  let samples =
+    [
+      (Ev.Ip_ivc_open_sent { label = 1; dst = u 0 0 }, "label 1 to U0.0");
+      (Ev.Ip_ivc_open { dst = u 0 0; hops = 1; label = 1 }, "to U0.0 via 1 hop(s) label 1");
+      (Ev.Ip_ivc_accept { peer = tmp 1 2; label = 2 }, "from T1.2 label 2");
+      (Ev.Ip_ivc_reject { label = 5 }, "label 5");
+      ( Ev.Ip_ivc_close { label = 4; peer = u 0 2; side = Ev.Remote },
+        "label 4 peer U0.2 remote" );
+      ( Ev.Ip_ivc_close { label = 7; peer = u 0 1; side = Ev.Local "forget" },
+        "label 7 peer U0.1 local reason=forget" );
+      ( conv Convert.Packed Endian.Be Endian.Le (u 0 0),
+        "mode=packed local=be remote=le dst=U0.0" );
+      ( conv Convert.Image Endian.Be Endian.Be (u 0 1),
+        "mode=image local=be remote=be dst=U0.1" );
+      ( conv ~forced:true Convert.Packed Endian.Be Endian.Le (u 0 0),
+        "mode=packed local=be remote=le dst=U0.0 forced" );
+      ( Ev.Nd_open { peer = u 0 0; phys = Ntcs_ipcs.Phys_addr.tcp ~host:"vax1" ~port:4000 },
+        "U0.0 at tcp://vax1:4000" );
+      ( Ev.Gw_splice { route = route 2 1 1 2; dst = u 0 0 },
+        "net2 label 1 <-> net1 label 2 dst=U0.0" );
+      ( Ev.Gw_forward
+          { route = route 2 1 1 2; kind = Proto.Data; dst = u 0 0; span = span 1 1 },
+        "net2 label 1 -> net1 label 2 kind=data dst=U0.0 span=c1#1" );
+      ( Ev.Gw_forward
+          { route = route 1 2 2 1; kind = Proto.Ivc_accept; dst = tmp 9 1; span = span 0 0 },
+        "net1 label 2 -> net2 label 1 kind=ivc-accept dst=T9.1 span=c0#0" );
+      (Ev.Gw_close (route 1 3 2 4), "net1 label 3 <-> net2 label 4");
+      (Ev.Gw_addr (u 900 1), "U900.1");
+      (Ev.Lcm_depth 1, "1");
+      (Ev.Ns_cache_hit { key = Ev.Name "svc"; shard = 1; gen = 1 }, "name:svc shard 1 gen 1");
+      ( Ev.Ns_cache_stale { key = Ev.Name "svc3"; shard = 2; gen = 1 },
+        "name:svc3 shard 2 gen 1" );
+      ( Ev.Ns_cache_store { key = Ev.Address (u 1 1); shard = 1; gen = 0 },
+        "addr:U1.1 shard 1 gen 0" );
+      ( Ev.Ns_cache_invalidate
+          { cause = Ev.Floor_raised { shard = 1; floor = 1 }; dropped = 0 },
+        "shard 1 floor 1 dropped 0" );
+      ( Ev.Ns_cache_invalidate { cause = Ev.Spliced (u 1 1); dropped = 1 },
+        "splice addr:U1.1 dropped 1" );
+      ( Ev.Ns_shard_forward { name = "svc2"; from_shard = 0; to_shard = 1; hop = 1 },
+        "svc2: shard 0 -> 1 hop 1" );
+    ]
+  in
+  List.iter
+    (fun (ev, text) ->
+      let cat = Ev.cat ev in
+      let e = { Ntcs_sim.Trace.at_us = 0; cat; actor = "a"; event = ev } in
+      Alcotest.(check string) cat text (Ntcs_sim.Trace.detail e);
+      Alcotest.(check bool) (cat ^ " is in the manifest") true (Ntcs_obs.Manifest.known cat))
+    samples;
+  Alcotest.(check int) "one sample category per typed constructor" 17
+    (List.length (List.sort_uniq compare (List.map (fun (ev, _) -> Ev.cat ev) samples)));
+  let splice = fst (List.nth samples 10) in
+  let line =
+    { Ntcs_sim.Trace.at_us = 2102188; cat = "gw.splice"; actor = "bridge-gw"; event = splice }
+  in
+  Alcotest.(check string) "rendered trace line"
+    "[ 2102188us] gw.splice        bridge-gw            net2 label 1 <-> net1 label 2 dst=U0.0"
+    (Fmt.str "%a" Ntcs_sim.Trace.pp_entry line)
 
 let () =
   Alcotest.run "determinism"
@@ -216,5 +367,6 @@ let () =
           Alcotest.test_case "different seed differs" `Quick test_seed_matters;
           Alcotest.test_case "R3 invariants hold" `Quick test_r3_invariants_hold;
           Alcotest.test_case "rendered telemetry digests" `Quick test_rendered_golden;
+          Alcotest.test_case "typed event texts" `Quick test_typed_event_texts;
         ] );
     ]

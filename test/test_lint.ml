@@ -177,14 +177,25 @@ let test_r2_scope_and_pragma () =
 
 (* --- R3: trace invariants --- *)
 
-let e ?(at = 0) cat actor detail =
-  { Ntcs_sim.Trace.at_us = at; cat; actor; detail }
+module Ev = Ntcs.Trace_event
+
+let e ?(at = 0) actor ev =
+  { Ntcs_sim.Trace.at_us = at; cat = Ev.cat ev; actor; event = ev }
+
+let u server value = Ntcs.Addr.unique ~server_id:server ~value
+let gw_a = u 900 1 and gw_b = u 901 1 and app = u 55 9
+let route = { Ev.in_net = 0; in_label = 3; out_net = 1; out_label = 4 }
+let ring7 = Ntcs_ipcs.Phys_addr.mbx ~path:"ring/7"
+
+let forward kind dst =
+  Ev.Gw_forward { route; kind; dst; span = Ntcs_obs.Span.none }
 
 let gw_world =
   [
-    e "gw.addr" "gwA" "U900.1";
-    e "gw.addr" "gwB" "U901.1";
-    e "gw.up" "gwA" "bridging nets [0,1]";
+    e "gwA" (Ev.Gw_addr gw_a);
+    e "gwB" (Ev.Gw_addr gw_b);
+    { Ntcs_sim.Trace.at_us = 0; cat = "gw.up"; actor = "gwA";
+      event = Ntcs_sim.Trace.Text "bridging nets [0,1]" };
   ]
 
 let test_r3_gateway_peering () =
@@ -192,69 +203,79 @@ let test_r3_gateway_peering () =
   let clean =
     gw_world
     @ [
-        e "nd.open" "gw/gwA@1" "U901.1 at mbx:ring/7";
-        e "gw.splice" "gwA" "net0 label 3 <-> net1 label 4 dst=U55.9";
-        e "gw.forward" "gwA" "net0 label 3 -> net1 label 4 kind=msg dst=U55.9";
+        e "gw/gwA@1" (Ev.Nd_open { peer = gw_b; phys = ring7 });
+        e "gwA" (Ev.Gw_splice { route; dst = app });
+        e "gwA" (forward Ntcs.Proto.Data app);
       ]
   in
   Alcotest.(check int) "chain through a gateway is legal" 0
-    (List.length (Lint_trace.no_gateway_peering clean));
+    (List.length (Check_invariants.no_gateway_peering clean));
   (* Violation: a chain terminating at a gateway address. *)
-  let bad = gw_world @ [ e "gw.splice" "gwA" "net0 label 3 <-> net1 label 4 dst=U901.1" ] in
-  (match Lint_trace.no_gateway_peering bad with
-   | [ v ] -> Alcotest.(check string) "invariant name" "gateway-peering" v.Lint_trace.v_invariant
+  let bad = gw_world @ [ e "gwA" (Ev.Gw_splice { route; dst = gw_b }) ] in
+  (match Check_invariants.no_gateway_peering bad with
+   | [ v ] ->
+     Alcotest.(check string) "invariant name" "gateway-peering" v.Check_invariants.v_invariant
    | vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs));
   (* Forwarded payload toward a gateway: violation. Replies flowing back to
      a gateway-originated chain: legal. *)
-  let bad = gw_world @ [ e "gw.forward" "gwA" "net0 label 3 -> net1 label 4 kind=data dst=U901.1" ] in
+  let bad = gw_world @ [ e "gwA" (forward Ntcs.Proto.Data gw_b) ] in
   Alcotest.(check int) "payload toward a gateway" 1
-    (List.length (Lint_trace.no_gateway_peering bad));
-  let ok = gw_world @ [ e "gw.forward" "gwA" "net0 label 3 -> net1 label 4 kind=reply dst=U901.1" ] in
+    (List.length (Check_invariants.no_gateway_peering bad));
+  let ok = gw_world @ [ e "gwA" (forward Ntcs.Proto.Reply gw_b) ] in
   Alcotest.(check int) "replies back to a gateway-originated chain" 0
-    (List.length (Lint_trace.no_gateway_peering ok));
+    (List.length (Check_invariants.no_gateway_peering ok));
   (* Violation: a gateway ComMod opens an IVC to another gateway. *)
-  let bad = gw_world @ [ e "ip.ivc_open" "gw/gwA@0" "to U901.1 via 1 hop(s)" ] in
+  let bad =
+    gw_world @ [ e "gw/gwA@0" (Ev.Ip_ivc_open { dst = gw_b; hops = 1; label = 2 }) ]
+  in
   Alcotest.(check int) "gateway IVC to gateway" 1
-    (List.length (Lint_trace.no_gateway_peering bad));
+    (List.length (Check_invariants.no_gateway_peering bad));
   (* Violation: a gateway-to-gateway circuit with no chain to justify it. *)
-  let bad = gw_world @ [ e "nd.open" "gw/gwA@1" "U901.1 at mbx:ring/7" ] in
+  let bad = gw_world @ [ e "gw/gwA@1" (Ev.Nd_open { peer = gw_b; phys = ring7 }) ] in
   Alcotest.(check int) "chainless circuit between gateways" 1
-    (List.length (Lint_trace.no_gateway_peering bad));
+    (List.length (Check_invariants.no_gateway_peering bad));
   (* Ordinary modules may open circuits to gateways, of course. *)
-  let ok = gw_world @ [ e "nd.open" "client" "U900.1 at tcp:ether/2" ] in
+  let ok =
+    gw_world
+    @ [
+        e "client"
+          (Ev.Nd_open { peer = gw_a; phys = Ntcs_ipcs.Phys_addr.tcp ~host:"ether" ~port:2 });
+      ]
+  in
   Alcotest.(check int) "apps reach gateways freely" 0
-    (List.length (Lint_trace.no_gateway_peering ok))
+    (List.length (Check_invariants.no_gateway_peering ok))
 
 let test_r3_recursion_depth () =
-  let entries = [ e "lcm.depth" "vax1/ns" "3"; e ~at:7 "lcm.depth" "vax1/ns" "70" ] in
-  (match Lint_trace.recursion_bounded ~limit:64 entries with
+  let entries = [ e "vax1/ns" (Ev.Lcm_depth 3); e ~at:7 "vax1/ns" (Ev.Lcm_depth 70) ] in
+  (match Check_invariants.recursion_bounded ~limit:64 entries with
    | [ v ] ->
-     Alcotest.(check string) "invariant" "recursion-depth" v.Lint_trace.v_invariant;
-     Alcotest.(check int) "timestamped" 7 v.Lint_trace.v_at_us
+     Alcotest.(check string) "invariant" "recursion-depth" v.Check_invariants.v_invariant;
+     Alcotest.(check int) "timestamped" 7 v.Check_invariants.v_at_us
    | vs -> Alcotest.failf "expected 1 violation, got %d" (List.length vs));
   Alcotest.(check int) "within bound clean" 0
-    (List.length (Lint_trace.recursion_bounded ~limit:70 entries))
+    (List.length (Check_invariants.recursion_bounded ~limit:70 entries))
 
 let test_r3_identity_conversion () =
+  let conv ?(forced = false) mode local remote value =
+    e "vax1/a" (Ev.Ip_convert { mode; local; remote; dst = u 5 value; forced })
+  in
+  let open Ntcs_wire in
   let ok =
     [
-      e "ip.convert" "vax1/a" "mode=image local=be remote=be dst=U5.1";
-      e "ip.convert" "vax1/a" "mode=packed local=be remote=le dst=U5.2";
-      e "ip.convert" "vax1/a" "mode=packed local=be remote=be dst=U5.3 forced";
+      conv Convert.Image Endian.Be Endian.Be 1;
+      conv Convert.Packed Endian.Be Endian.Le 2;
+      conv ~forced:true Convert.Packed Endian.Be Endian.Be 3;
     ]
   in
   Alcotest.(check int) "image/equal, packed/mixed, forced all legal" 0
-    (List.length (Lint_trace.no_identity_conversion ok));
+    (List.length (Check_invariants.no_identity_conversion ok));
   let bad =
-    [
-      e "ip.convert" "vax1/a" "mode=packed local=be remote=be dst=U5.1";
-      e "ip.convert" "vax1/a" "mode=image local=le remote=be dst=U5.2";
-    ]
+    [ conv Convert.Packed Endian.Be Endian.Be 1; conv Convert.Image Endian.Le Endian.Be 2 ]
   in
   Alcotest.(check int) "both degenerate modes flagged" 2
-    (List.length (Lint_trace.no_identity_conversion bad));
+    (List.length (Check_invariants.no_identity_conversion bad));
   Alcotest.(check int) "check_all aggregates" 2
-    (List.length (Lint_trace.check_all ~recursion_limit:64 bad))
+    (List.length (Check_invariants.check_all ~recursion_limit:64 bad))
 
 (* --- R6: frame ownership --- *)
 

@@ -565,6 +565,44 @@ let test_sharded_trace_determinism () =
   Alcotest.(check bool) "equal seeds give byte-identical traces" true
     (String.equal first second)
 
+(* Module names are free text: a name containing the words the cache and
+   shard-router events use as separators (" shard ", " gen ", " hop ") must
+   not confuse the coherence monitor. Each name is stored, then hit, and
+   the second is also forwarded by a non-owner shard router. *)
+let test_separator_words_in_names () =
+  let names = [ "db shard 2"; "hip hop 3" ] in
+  let c = sharded_cluster () in
+  Cluster.settle ~dt:12_000_000 c;
+  List.iter (fun name -> spawn_echo c ~machine:"ap1" ~name) names;
+  Cluster.settle ~dt:6_000_000 c;
+  let routed = "hip hop 3" in
+  let non_owner =
+    Addr.unique ~server_id:((Shard_map.hash_name routed mod 4 + 1) mod 4) ~value:0
+  in
+  let finished =
+    in_process c ~machine:"sun2" ~name:"client" (fun node ->
+        let commod = bind_exn node ~name:"client" in
+        List.iter
+          (fun name ->
+            ignore (check_ok "cold locate" (Ali_layer.locate commod name));
+            ignore (check_ok "warm locate" (Ali_layer.locate commod name)))
+          names;
+        let reply =
+          Lcm_layer.send_sync (Commod.lcm commod) ~dst:non_owner ~app_tag:Ns_proto.app_tag
+            (Ntcs_wire.Convert.payload_raw
+               (Ns_proto.pack_request (Ns_proto.Lookup_v (routed, 0))))
+        in
+        ignore (check_ok "routed lookup" reply))
+  in
+  Cluster.settle c;
+  finished ();
+  let entries = Ntcs_sim.Trace.entries (Ntcs_sim.World.trace (Cluster.world c)) in
+  let count cat = List.length (List.filter (fun e -> e.Ntcs_sim.Trace.cat = cat) entries) in
+  Alcotest.(check bool) "both names stored" true (count "ns.cache.store" >= 2);
+  Alcotest.(check bool) "both names hit" true (count "ns.cache.hit" >= 2);
+  Alcotest.(check bool) "one lookup forwarded" true (count "ns.shard.forward" >= 1);
+  Alcotest.(check (list string)) "coherent" [] (Check_naming.check entries)
+
 let () =
   Alcotest.run "naming"
     [
@@ -614,5 +652,7 @@ let () =
             test_sharded_lookup_caches;
           Alcotest.test_case "equal-seed traces are byte-identical" `Quick
             test_sharded_trace_determinism;
+          Alcotest.test_case "separator words in names" `Quick
+            test_separator_words_in_names;
         ] );
     ]

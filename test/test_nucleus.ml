@@ -251,13 +251,13 @@ let test_tadd_purge_within_two_ns_exchanges () =
      real UAdd immediately after its next request. *)
   let c = lan_cluster () in
   Cluster.settle c;
-  let m = Cluster.metrics c in
+  let m = Cluster.obs c in
   let result =
     in_process c ~machine:"sun1" ~name:"client" (fun node ->
         let commod = bind_exn node ~name:"purge-test" in
         (* Second NS communication: any lookup. *)
         ignore (Ali_layer.locate commod "purge-test");
-        Ntcs_util.Metrics.get m "tadd.purged")
+        Ntcs_obs.Registry.get m "tadd.purged")
   in
   Cluster.settle c;
   let purged = result () in

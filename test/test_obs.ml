@@ -15,16 +15,8 @@ module Histo = Ntcs_obs.Histo
 let test_span_strings () =
   let ctx = Span.make ~circuit:42 ~seq:7 in
   Alcotest.(check string) "to_string" "c42#7" (Span.to_string ctx);
-  (match Span.of_string "c42#7" with
-   | Some back -> Alcotest.(check bool) "of_string inverts" true (back = ctx)
-   | None -> Alcotest.fail "of_string rejected well-formed input");
   Alcotest.(check bool) "none is none" true (Span.is_none Span.none);
-  Alcotest.(check bool) "real ctx is not none" false (Span.is_none ctx);
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) (Printf.sprintf "%S malformed" s) true
-        (Span.of_string s = None))
-    [ ""; "c"; "c1"; "c#2"; "x1#2"; "c1#"; "c1#x" ]
+  Alcotest.(check bool) "real ctx is not none" false (Span.is_none ctx)
 
 let test_span_header_roundtrip () =
   let src = Addr.unique ~server_id:1 ~value:10 in
@@ -77,7 +69,7 @@ let run_world seed =
          done;
          ignore (Ali_layer.send_dgram commod ~dst:addr (Helpers.raw "dg"))));
   Cluster.settle ~dt:30_000_000 c;
-  Cluster.metrics c
+  Cluster.obs c
 
 let test_registry_sees_layers () =
   let r = run_world 1234 in
@@ -106,7 +98,7 @@ let test_healthy_run_span_invariants () =
   | vs ->
     Alcotest.failf "span invariants violated: %s"
       (String.concat "; "
-         (List.map (fun v -> Format.asprintf "%a" Lint_trace.pp_violation v) vs))
+         (List.map (fun v -> Format.asprintf "%a" Check_invariants.pp_violation v) vs))
 
 let test_exports_deterministic () =
   let r1 = run_world 777 in

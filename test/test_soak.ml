@@ -109,16 +109,16 @@ let test_soak () =
   chaos ();
   (* 60 virtual seconds of chaos + 30 of recovery. *)
   Cluster.settle ~dt:95_000_000 c;
-  let m = Cluster.metrics c in
+  let m = Cluster.obs c in
   let crashes =
     Ntcs_sim.Trace.matching (Ntcs_sim.World.trace (Cluster.world c)) ~cat:"sim.proc_crash"
   in
   Alcotest.(check int) "no unexpected crashes" 0 (List.length crashes);
   Alcotest.(check int) "no sequence regressions" 0
-    (Ntcs_util.Metrics.get m "lcm.seq_regressions");
+    (Ntcs_obs.Registry.get m "lcm.seq_regressions");
   Alcotest.(check bool) "real traffic volume" true (!calls_ok > 100);
   Alcotest.(check bool) "chaos actually disrupted" true
-    (Ntcs_util.Metrics.get m "lcm.relocations" >= 2);
+    (Ntcs_obs.Registry.get m "lcm.relocations" >= 2);
   (* Convergence probe: after the dust settles every service answers. *)
   let final = ref [] in
   ignore
