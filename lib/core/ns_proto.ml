@@ -78,124 +78,150 @@ let entry_codec =
           (Packed.pair (Packed.list Packed.string) (Packed.list Packed.int))
           (Packed.pair (Packed.pair Packed.int attrs_codec) Packed.bool)))
 
-let register_codec =
-  Packed.iso
-    ~fwd:(fun ((name, phys), ((nets, order), attrs)) ->
-      Register { r_name = name; r_phys = phys; r_nets = nets; r_order = order; r_attrs = attrs })
-    ~bwd:(function
-      | Register r -> ((r.r_name, r.r_phys), ((r.r_nets, r.r_order), r.r_attrs))
-      | _ -> invalid_arg "register_codec")
+(* Each union case is built once here; the selectors below pick one per
+   message, and [prj] is only ever applied to the constructor its selector
+   matched. *)
+let mismatch tag = invalid_arg ("Ns_proto: not a " ^ tag ^ " value")
+
+let c_reg =
+  Packed.case "reg"
     (Packed.pair
        (Packed.pair Packed.string (Packed.list Packed.string))
        (Packed.pair (Packed.pair (Packed.list Packed.int) Packed.int) attrs_codec))
+    ~inj:(fun ((name, phys), ((nets, order), attrs)) ->
+      Register { r_name = name; r_phys = phys; r_nets = nets; r_order = order; r_attrs = attrs })
+    ~prj:(function
+      | Register r -> ((r.r_name, r.r_phys), ((r.r_nets, r.r_order), r.r_attrs))
+      | _ -> mismatch "reg")
+
+let c_lku =
+  Packed.case "lku" Packed.string ~inj:(fun n -> Lookup n) ~prj:(function
+    | Lookup n -> n
+    | _ -> mismatch "lku")
+
+let c_lkv =
+  Packed.case "lkv" (Packed.pair Packed.string Packed.int)
+    ~inj:(fun (n, hops) -> Lookup_v (n, hops))
+    ~prj:(function Lookup_v (n, hops) -> (n, hops) | _ -> mismatch "lkv")
+
+let c_lka =
+  Packed.case "lka" attrs_codec ~inj:(fun a -> Lookup_attrs a) ~prj:(function
+    | Lookup_attrs a -> a
+    | _ -> mismatch "lka")
+
+let c_res =
+  Packed.case "res" addr_codec ~inj:(fun a -> Resolve a) ~prj:(function
+    | Resolve a -> a
+    | _ -> mismatch "res")
+
+let c_rsv =
+  Packed.case "rsv" addr_codec ~inj:(fun a -> Resolve_v a) ~prj:(function
+    | Resolve_v a -> a
+    | _ -> mismatch "rsv")
+
+let c_fwd =
+  Packed.case "fwd" addr_codec ~inj:(fun a -> Forward a) ~prj:(function
+    | Forward a -> a
+    | _ -> mismatch "fwd")
+
+let c_der =
+  Packed.case "der" addr_codec ~inj:(fun a -> Deregister a) ~prj:(function
+    | Deregister a -> a
+    | _ -> mismatch "der")
+
+let c_gws = Packed.const "gws" List_gateways
+
+let c_syn =
+  Packed.case "syn" Packed.int ~inj:(fun n -> Sync_pull n) ~prj:(function
+    | Sync_pull n -> n
+    | _ -> mismatch "syn")
+
+let serial_entries_codec = Packed.list (Packed.pair Packed.int entry_codec)
+
+let c_syp =
+  Packed.case "syp" serial_entries_codec ~inj:(fun es -> Sync_push es) ~prj:(function
+    | Sync_push es -> es
+    | _ -> mismatch "syp")
 
 let request_codec : request Packed.t =
   Packed.tagged
-    [
-      ( "reg",
-        (function
-          | Register _ as r -> Some (fun buf -> register_codec.Packed.pack buf r)
-          | _ -> None),
-        fun cur -> register_codec.Packed.unpack cur );
-      ( "lku",
-        (function Lookup n -> Some (fun buf -> Packed.string.Packed.pack buf n) | _ -> None),
-        fun cur -> Lookup (Packed.string.Packed.unpack cur) );
-      ( "lkv",
-        (let codec = Packed.pair Packed.string Packed.int in
-         function
-         | Lookup_v (n, hops) -> Some (fun buf -> codec.Packed.pack buf (n, hops))
-         | _ -> None),
-        fun cur ->
-          let n, hops = (Packed.pair Packed.string Packed.int).Packed.unpack cur in
-          Lookup_v (n, hops) );
-      ( "lka",
-        (function
-          | Lookup_attrs a -> Some (fun buf -> attrs_codec.Packed.pack buf a)
-          | _ -> None),
-        fun cur -> Lookup_attrs (attrs_codec.Packed.unpack cur) );
-      ( "res",
-        (function Resolve a -> Some (fun buf -> addr_codec.Packed.pack buf a) | _ -> None),
-        fun cur -> Resolve (addr_codec.Packed.unpack cur) );
-      ( "rsv",
-        (function Resolve_v a -> Some (fun buf -> addr_codec.Packed.pack buf a) | _ -> None),
-        fun cur -> Resolve_v (addr_codec.Packed.unpack cur) );
-      ( "fwd",
-        (function Forward a -> Some (fun buf -> addr_codec.Packed.pack buf a) | _ -> None),
-        fun cur -> Forward (addr_codec.Packed.unpack cur) );
-      ( "der",
-        (function Deregister a -> Some (fun buf -> addr_codec.Packed.pack buf a) | _ -> None),
-        fun cur -> Deregister (addr_codec.Packed.unpack cur) );
-      ( "gws",
-        (function List_gateways -> Some (fun _ -> ()) | _ -> None),
-        fun _ -> List_gateways );
-      ( "syn",
-        (function Sync_pull n -> Some (fun buf -> Packed.int.Packed.pack buf n) | _ -> None),
-        fun cur -> Sync_pull (Packed.int.Packed.unpack cur) );
-      ( "syp",
-        (let codec = Packed.list (Packed.pair Packed.int entry_codec) in
-         function
-         | Sync_push es -> Some (fun buf -> codec.Packed.pack buf es)
-         | _ -> None),
-        fun cur -> Sync_push ((Packed.list (Packed.pair Packed.int entry_codec)).Packed.unpack cur) );
-    ]
+    (function
+      | Register _ -> c_reg
+      | Lookup _ -> c_lku
+      | Lookup_v _ -> c_lkv
+      | Lookup_attrs _ -> c_lka
+      | Resolve _ -> c_res
+      | Resolve_v _ -> c_rsv
+      | Forward _ -> c_fwd
+      | Deregister _ -> c_der
+      | List_gateways -> c_gws
+      | Sync_pull _ -> c_syn
+      | Sync_push _ -> c_syp)
+    [ c_reg; c_lku; c_lkv; c_lka; c_res; c_rsv; c_fwd; c_der; c_gws; c_syn; c_syp ]
+
+let c_rgd =
+  Packed.case "rgd" addr_codec ~inj:(fun a -> R_registered a) ~prj:(function
+    | R_registered a -> a
+    | _ -> mismatch "rgd")
+
+let c_adr =
+  Packed.case "adr" addr_codec ~inj:(fun a -> R_addr a) ~prj:(function
+    | R_addr a -> a
+    | _ -> mismatch "adr")
+
+let c_adv =
+  Packed.case "adv"
+    (Packed.pair (Packed.pair addr_codec Packed.int) Packed.int)
+    ~inj:(fun ((a, shard), gen) -> R_addr_v (a, shard, gen))
+    ~prj:(function R_addr_v (a, shard, gen) -> ((a, shard), gen) | _ -> mismatch "adv")
+
+let c_ent =
+  Packed.case "ent" entry_codec ~inj:(fun e -> R_entry e) ~prj:(function
+    | R_entry e -> e
+    | _ -> mismatch "ent")
+
+let c_env =
+  Packed.case "env"
+    (Packed.pair (Packed.pair entry_codec Packed.int) Packed.int)
+    ~inj:(fun ((e, shard), gen) -> R_entry_v (e, shard, gen))
+    ~prj:(function R_entry_v (e, shard, gen) -> ((e, shard), gen) | _ -> mismatch "env")
+
+let c_ens =
+  Packed.case "ens" (Packed.list entry_codec) ~inj:(fun es -> R_entries es) ~prj:(function
+    | R_entries es -> es
+    | _ -> mismatch "ens")
+
+let c_fwr =
+  Packed.case "fwr" (Packed.option addr_codec) ~inj:(fun a -> R_forward a) ~prj:(function
+    | R_forward a -> a
+    | _ -> mismatch "fwr")
+
+let c_ok = Packed.const "ok_" R_ok
+
+let c_snc =
+  Packed.case "snc" serial_entries_codec ~inj:(fun es -> R_sync es) ~prj:(function
+    | R_sync es -> es
+    | _ -> mismatch "snc")
+
+let c_err =
+  Packed.case "err" Packed.string ~inj:(fun m -> R_error m) ~prj:(function
+    | R_error m -> m
+    | _ -> mismatch "err")
 
 let response_codec : response Packed.t =
-  let serial_entry = Packed.pair Packed.int entry_codec in
   Packed.tagged
-    [
-      ( "rgd",
-        (function
-          | R_registered a -> Some (fun buf -> addr_codec.Packed.pack buf a)
-          | _ -> None),
-        fun cur -> R_registered (addr_codec.Packed.unpack cur) );
-      ( "adr",
-        (function R_addr a -> Some (fun buf -> addr_codec.Packed.pack buf a) | _ -> None),
-        fun cur -> R_addr (addr_codec.Packed.unpack cur) );
-      ( "adv",
-        (let codec = Packed.pair (Packed.pair addr_codec Packed.int) Packed.int in
-         function
-         | R_addr_v (a, shard, gen) ->
-           Some (fun buf -> codec.Packed.pack buf ((a, shard), gen))
-         | _ -> None),
-        fun cur ->
-          let (a, shard), gen =
-            (Packed.pair (Packed.pair addr_codec Packed.int) Packed.int).Packed.unpack cur
-          in
-          R_addr_v (a, shard, gen) );
-      ( "ent",
-        (function R_entry e -> Some (fun buf -> entry_codec.Packed.pack buf e) | _ -> None),
-        fun cur -> R_entry (entry_codec.Packed.unpack cur) );
-      ( "env",
-        (let codec = Packed.pair (Packed.pair entry_codec Packed.int) Packed.int in
-         function
-         | R_entry_v (e, shard, gen) ->
-           Some (fun buf -> codec.Packed.pack buf ((e, shard), gen))
-         | _ -> None),
-        fun cur ->
-          let (e, shard), gen =
-            (Packed.pair (Packed.pair entry_codec Packed.int) Packed.int).Packed.unpack cur
-          in
-          R_entry_v (e, shard, gen) );
-      ( "ens",
-        (function
-          | R_entries es -> Some (fun buf -> (Packed.list entry_codec).Packed.pack buf es)
-          | _ -> None),
-        fun cur -> R_entries ((Packed.list entry_codec).Packed.unpack cur) );
-      ( "fwr",
-        (function
-          | R_forward a -> Some (fun buf -> (Packed.option addr_codec).Packed.pack buf a)
-          | _ -> None),
-        fun cur -> R_forward ((Packed.option addr_codec).Packed.unpack cur) );
-      ("ok_", (function R_ok -> Some (fun _ -> ()) | _ -> None), fun _ -> R_ok);
-      ( "snc",
-        (function
-          | R_sync es -> Some (fun buf -> (Packed.list serial_entry).Packed.pack buf es)
-          | _ -> None),
-        fun cur -> R_sync ((Packed.list serial_entry).Packed.unpack cur) );
-      ( "err",
-        (function R_error m -> Some (fun buf -> Packed.string.Packed.pack buf m) | _ -> None),
-        fun cur -> R_error (Packed.string.Packed.unpack cur) );
-    ]
+    (function
+      | R_registered _ -> c_rgd
+      | R_addr _ -> c_adr
+      | R_addr_v _ -> c_adv
+      | R_entry _ -> c_ent
+      | R_entry_v _ -> c_env
+      | R_entries _ -> c_ens
+      | R_forward _ -> c_fwr
+      | R_ok -> c_ok
+      | R_sync _ -> c_snc
+      | R_error _ -> c_err)
+    [ c_rgd; c_adr; c_adv; c_ent; c_env; c_ens; c_fwr; c_ok; c_snc; c_err ]
 
 let pack_request r = Packed.run_pack request_codec r
 let unpack_request b = Packed.run_unpack_result request_codec b

@@ -32,22 +32,21 @@ let payload (type a) (module M : MSG with type t = a) commod (v : a) : Convert.p
 
 let decode (type a) (module M : MSG with type t = a) commod (env : Ali_layer.envelope) :
     (a, Errors.t) result =
-  let my_order = Node.my_order (Commod.node commod) in
-  match env.Ali_layer.mode with
-  | Convert.Image -> (
-    match Layout.decode ~order:my_order M.layout env.Ali_layer.data with
-    | values -> (
-      match M.of_values values with
-      | v -> Ok v
-      | exception (Invalid_argument m | Failure m) -> Error (Errors.Bad_message m))
-    | exception Layout.Layout_error m -> Error (Errors.Bad_message m))
-  | Convert.Packed -> (
-    match Packed.run_unpack (Packed.of_layout M.layout) env.Ali_layer.data with
-    | values -> (
-      match M.of_values values with
-      | v -> Ok v
-      | exception (Invalid_argument m | Failure m) -> Error (Errors.Bad_message m))
-    | exception Packed.Unpack_error m -> Error (Errors.Bad_message m))
+  let values =
+    match env.Ali_layer.mode with
+    | Convert.Image -> (
+      let order = Node.my_order (Commod.node commod) in
+      match Layout.decode ~order M.layout env.Ali_layer.data with
+      | values -> Ok values
+      | exception Layout.Layout_error m -> Error m)
+    | Convert.Packed -> Packed.run_unpack_result (Packed.of_layout M.layout) env.Ali_layer.data
+  in
+  match values with
+  | Error m -> Error (Errors.Bad_message m)
+  | Ok values -> (
+    match M.of_values values with
+    | v -> Ok v
+    | exception (Invalid_argument m | Failure m) -> Error (Errors.Bad_message m))
 
 let send (type a) (module M : MSG with type t = a) commod ~dst (v : a) =
   Ali_layer.send commod ~dst ~app_tag:M.app_tag (payload (module M) commod v)

@@ -44,14 +44,15 @@ let monitor_record_codec =
 
 type monitor_query = Q_stats | Q_recent of int
 
+let q_stats = Packed.const "sta" Q_stats
+
+let q_recent =
+  Packed.case "rec" Packed.int ~inj:(fun n -> Q_recent n) ~prj:(function
+    | Q_recent n -> n
+    | Q_stats -> invalid_arg "Drts_proto: not a rec query")
+
 let monitor_query_codec =
-  Packed.tagged
-    [
-      ("sta", (function Q_stats -> Some (fun _ -> ()) | _ -> None), fun _ -> Q_stats);
-      ( "rec",
-        (function Q_recent n -> Some (fun buf -> Packed.int.Packed.pack buf n) | _ -> None),
-        fun cur -> Q_recent (Packed.int.Packed.unpack cur) );
-    ]
+  Packed.tagged (function Q_stats -> q_stats | Q_recent _ -> q_recent) [ q_stats; q_recent ]
 
 type monitor_stats = {
   ms_total : int;
@@ -104,15 +105,17 @@ let log_record_codec =
 
 type log_query = L_count of int (* min severity *) | L_recent of int
 
+let l_count =
+  Packed.case "cnt" Packed.int ~inj:(fun s -> L_count s) ~prj:(function
+    | L_count s -> s
+    | L_recent _ -> invalid_arg "Drts_proto: not a cnt query")
+
+let l_recent =
+  Packed.case "rec" Packed.int ~inj:(fun n -> L_recent n) ~prj:(function
+    | L_recent n -> n
+    | L_count _ -> invalid_arg "Drts_proto: not a rec query")
+
 let log_query_codec =
-  Packed.tagged
-    [
-      ( "cnt",
-        (function L_count s -> Some (fun buf -> Packed.int.Packed.pack buf s) | _ -> None),
-        fun cur -> L_count (Packed.int.Packed.unpack cur) );
-      ( "rec",
-        (function L_recent n -> Some (fun buf -> Packed.int.Packed.pack buf n) | _ -> None),
-        fun cur -> L_recent (Packed.int.Packed.unpack cur) );
-    ]
+  Packed.tagged (function L_count _ -> l_count | L_recent _ -> l_recent) [ l_count; l_recent ]
 
 let log_recent_codec = Packed.list log_record_codec

@@ -48,23 +48,19 @@ type doc_reply =
   | Doc_found of { df_title : string; df_body : string }
   | Doc_missing
 
+let doc_found =
+  Packed.case "doc" (Packed.pair Packed.string Packed.string)
+    ~inj:(fun (df_title, df_body) -> Doc_found { df_title; df_body })
+    ~prj:(function
+      | Doc_found { df_title; df_body } -> (df_title, df_body)
+      | Doc_missing -> invalid_arg "Ursa_msg: not a doc reply")
+
+let doc_missing = Packed.const "mis" Doc_missing
+
 let doc_reply_codec =
   Packed.tagged
-    [
-      ( "doc",
-        (function
-          | Doc_found { df_title; df_body } ->
-            Some
-              (fun buf ->
-                (Packed.pair Packed.string Packed.string).Packed.pack buf (df_title, df_body))
-          | Doc_missing -> None),
-        fun cur ->
-          let t, b = (Packed.pair Packed.string Packed.string).Packed.unpack cur in
-          Doc_found { df_title = t; df_body = b } );
-      ( "mis",
-        (function Doc_missing -> Some (fun _ -> ()) | Doc_found _ -> None),
-        fun _ -> Doc_missing );
-    ]
+    (function Doc_found _ -> doc_found | Doc_missing -> doc_missing)
+    [ doc_found; doc_missing ]
 
 (* --- search coordinator --- *)
 

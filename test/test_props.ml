@@ -91,13 +91,39 @@ let prop_packed_float_exact =
       let back = Packed.run_unpack Packed.float (Packed.run_pack Packed.float f) in
       (Float.is_nan f && Float.is_nan back) || back = f)
 
+let prop_packed_int_roundtrip =
+  qtest "packed int is its decimal text and roundtrips, min_int and max_int included"
+    QCheck.(oneof [ int; oneofl [ min_int; max_int; min_int + 1; max_int - 1; 0; -1 ] ])
+    (fun n ->
+      let b = Packed.run_pack Packed.int n in
+      Bytes.to_string b = string_of_int n ^ "\n" && Packed.run_unpack Packed.int b = n)
+
+(* Random bytes, and token streams that mix in naming-protocol tags and
+   length prefixes near max_int, where a bounds check that adds the length
+   to an offset would overflow. *)
+let garbage_gen =
+  QCheck.Gen.(
+    let huge = oneofl [ max_int; max_int - 1; max_int - 3; max_int / 2; 1 lsl 61; min_int ] in
+    let token =
+      frequency
+        [
+          (3, string_size ~gen:char (int_bound 6));
+          (2, map string_of_int huge);
+          (2, map string_of_int small_nat);
+          (1, oneofl [ "3\nlku"; "3\nlkv"; "3\nreg"; "3\nsyp"; "3\nadv"; "3\nsnc"; "3\nfwr" ]);
+        ]
+    in
+    frequency [ (1, string_of char); (2, map (String.concat "\n") (list_size (int_range 1 8) token)) ])
+
 let prop_packed_garbage_never_crashes =
   qtest "unpacking random bytes returns Error, never raises"
-    QCheck.(pair string (make layout_gen))
+    QCheck.(pair (make ~print:(Printf.sprintf "%S") garbage_gen) (make layout_gen))
     (fun (junk, layout) ->
-      let codec = Packed.of_layout layout in
-      match Packed.run_unpack_result codec (Bytes.of_string junk) with
-      | Ok _ | Error _ -> true)
+      let junk = Bytes.of_string junk in
+      let never_raises = function Ok _ | Error _ -> true in
+      never_raises (Packed.run_unpack_result (Packed.of_layout layout) junk)
+      && never_raises (Ntcs.Ns_proto.unpack_request junk)
+      && never_raises (Ntcs.Ns_proto.unpack_response junk))
 
 (* --- shift mode --- *)
 
@@ -457,6 +483,7 @@ let () =
           prop_packed_roundtrip;
           prop_packed_primitive_roundtrips;
           prop_packed_float_exact;
+          prop_packed_int_roundtrip;
           prop_packed_garbage_never_crashes;
         ] );
       ("shift", [ prop_shift_roundtrip ]);

@@ -123,7 +123,12 @@ let test_packed_unpack_errors () =
   expect_err "notanint\n" Packed.int;
   expect_err "5\nab\n" Packed.string (* truncated raw block *);
   expect_err "X\n" Packed.bool;
-  expect_err "1\n2\n" Packed.int (* trailing bytes *)
+  expect_err "1\n2\n" Packed.int (* trailing bytes *);
+  (* A length prefix near max_int must not overflow the bounds check. *)
+  expect_err "4611686018427387903\nab\n" Packed.string;
+  expect_err "4611686018427387902\nab\n" Packed.string;
+  expect_err "4611686018427387903\nab\n" (Packed.list Packed.int);
+  expect_err "4611686018427387903\nlku\n" Ntcs.Ns_proto.request_codec
 
 let test_packed_of_layout_matches_image_semantics () =
   let codec = Packed.of_layout sample_layout in
@@ -144,17 +149,11 @@ let test_packed_is_order_independent () =
   | _ -> Alcotest.fail "shape"
 
 let test_packed_tagged () =
-  let codec =
-    Packed.tagged
-      [
-        ( "i",
-          (function `I v -> Some (fun buf -> Packed.int.Packed.pack buf v) | `S _ -> None),
-          fun cur -> `I (Packed.int.Packed.unpack cur) );
-        ( "s",
-          (function `S v -> Some (fun buf -> Packed.string.Packed.pack buf v) | `I _ -> None),
-          fun cur -> `S (Packed.string.Packed.unpack cur) );
-      ]
+  let i = Packed.case "i" Packed.int ~inj:(fun v -> `I v) ~prj:(function `I v -> v | `S _ -> 0) in
+  let s =
+    Packed.case "s" Packed.string ~inj:(fun v -> `S v) ~prj:(function `S v -> v | `I _ -> "")
   in
+  let codec = Packed.tagged (function `I _ -> i | `S _ -> s) [ i; s ] in
   Alcotest.(check bool) "int case" true
     (Packed.run_unpack codec (Packed.run_pack codec (`I 5)) = `I 5);
   Alcotest.(check bool) "string case" true
@@ -162,6 +161,227 @@ let test_packed_tagged () =
   match Packed.run_unpack_result codec (Packed.run_pack Packed.string "zz") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown tag must fail"
+
+(* --- packed transport format: golden bytes and decode parity --- *)
+
+(* The perfbench request message: 32 int32 fields and a 128-byte string,
+   drawn from the seed the way perfbench/workloads.ml draws it. *)
+let bench_layout = List.init 32 (fun _ -> Layout.F_i32) @ [ Layout.F_char_array 128 ]
+
+let bench_values seed =
+  let rng = Ntcs_util.Rng.create ((seed * 7919) + 1) in
+  List.map
+    (function
+      | Layout.F_char_array n ->
+        Layout.V_str (String.init (n - 1) (fun _ -> Char.chr (97 + Ntcs_util.Rng.int rng 26)))
+      | Layout.F_i8 | Layout.F_i16 | Layout.F_i32 | Layout.F_i64 ->
+        Layout.V_int (Ntcs_util.Rng.int rng 0x3FFF_FFFF))
+    bench_layout
+
+let golden_addr = Ntcs.Addr.unique ~server_id:3 ~value:0xBEEF
+let golden_tadd = Ntcs.Addr.temporary ~assigner:7 ~value:42
+
+let golden_entry =
+  {
+    Ntcs.Ns_proto.e_name = "db shard 2";
+    e_addr = golden_addr;
+    e_phys = [ "tcp:lan0:1"; "mbx:ring0:\n7" ];
+    e_nets = [ 0; 1; -1 ];
+    e_order = 1;
+    e_attrs = [ ("role", "index"); ("", "\000") ];
+    e_alive = true;
+  }
+
+let golden_hello =
+  { Ntcs.Proto.h_addr = golden_addr; h_order = Endian.Be; h_listen = [ "tcp:lan0:5" ] }
+
+(* One value of every Ns_proto request and response constructor, the
+   Proto control bodies, and a few DRTS and URSA messages, packed in this
+   order. *)
+let golden_corpus () =
+  let module N = Ntcs.Ns_proto in
+  let requests =
+    [
+      N.Register
+        { r_name = "echo"; r_phys = [ "tcp:lan1:9" ]; r_nets = [ 1 ]; r_order = 0;
+          r_attrs = [ ("k", "v") ] };
+      N.Lookup "echo";
+      N.Lookup_v ("hot-17", 1);
+      N.Lookup_attrs [ ("role", "index") ];
+      N.Resolve golden_addr;
+      N.Resolve_v golden_tadd;
+      N.Forward golden_addr;
+      N.Deregister golden_tadd;
+      N.List_gateways;
+      N.Sync_pull (-3);
+      N.Sync_push [ (5, golden_entry); (max_int, golden_entry) ];
+    ]
+  in
+  let responses =
+    [
+      N.R_registered golden_addr;
+      N.R_addr golden_tadd;
+      N.R_addr_v (golden_addr, 2, 9);
+      N.R_entry golden_entry;
+      N.R_entry_v (golden_entry, 3, 0);
+      N.R_entries [ golden_entry; { golden_entry with e_alive = false } ];
+      N.R_forward (Some golden_addr);
+      N.R_forward None;
+      N.R_ok;
+      N.R_sync [ (min_int, golden_entry) ];
+      N.R_error "no such name";
+    ]
+  in
+  List.concat
+    [
+      List.map
+        (fun seed -> Packed.run_pack (Packed.of_layout bench_layout) (bench_values seed))
+        [ 1; 424242 ];
+      List.map N.pack_request requests;
+      List.map N.pack_response responses;
+      [
+        Packed.run_pack Ntcs.Proto.hello_codec golden_hello;
+        Packed.run_pack Ntcs.Proto.ivc_open_codec
+          { Ntcs.Proto.route = [ golden_addr; golden_tadd ]; final_dst = golden_addr;
+            origin_hello = golden_hello };
+        Packed.run_pack Ntcs.Proto.reason_codec "leg failed";
+        Packed.run_pack Ntcs_drts.Drts_proto.monitor_record_codec
+          { Ntcs_drts.Drts_proto.mr_module = "m"; mr_kind = "send"; mr_detail = "x\ny";
+            mr_time = -17 };
+        Packed.run_pack Ntcs_drts.Drts_proto.log_query_codec (Ntcs_drts.Drts_proto.L_recent 4);
+        Packed.run_pack Ursa.Ursa_msg.doc_reply_codec
+          (Ursa.Ursa_msg.Doc_found { df_title = "t"; df_body = "body" });
+        Packed.run_pack Ursa.Ursa_msg.doc_reply_codec Ursa.Ursa_msg.Doc_missing;
+        Packed.run_pack Ursa.Ursa_msg.search_reply_codec
+          { Ursa.Ursa_msg.sr_hits = [ { h_doc = 1; h_score_milli = 250; h_title = "a" } ];
+            sr_partitions = 2 };
+      ];
+    ]
+
+let test_packed_golden () =
+  let corpus = golden_corpus () in
+  let all = Bytes.concat Bytes.empty corpus in
+  Alcotest.(check int) "corpus bytes" 2065 (Bytes.length all);
+  Alcotest.(check string) "corpus digest" "54a1b40602019af70b8a9c1c0d7b2b22" (Digest.to_hex (Digest.bytes all))
+
+(* Every corpus message decodes back to the value it was packed from. *)
+let test_packed_golden_decodes () =
+  List.iter
+    (fun seed ->
+      let values = bench_values seed in
+      let codec = Packed.of_layout bench_layout in
+      Alcotest.(check bool)
+        (Printf.sprintf "bench message seed %d" seed)
+        true
+        (List.for_all2 Layout.value_equal values
+           (Packed.run_unpack codec (Packed.run_pack codec values))))
+    [ 1; 424242 ];
+  let module N = Ntcs.Ns_proto in
+  let entry_back =
+    Packed.run_unpack N.entry_codec (Packed.run_pack N.entry_codec golden_entry)
+  in
+  Alcotest.(check bool) "ns entry" true (entry_back = golden_entry);
+  Alcotest.(check bool) "ns request" true
+    (N.unpack_request (N.pack_request (N.Lookup_v ("hot-17", 1)))
+     = Ok (N.Lookup_v ("hot-17", 1)));
+  Alcotest.(check bool) "ns response" true
+    (N.unpack_response (N.pack_response (N.R_entry_v (golden_entry, 3, 0)))
+     = Ok (N.R_entry_v (golden_entry, 3, 0)))
+
+(* What the decoder makes of inputs at the edges of the format: [Some v]
+   is [Ok v], [None] is [Error]. Integer tokens that are not plain decimal
+   keep the [int_of_string] reading. *)
+let test_packed_verdicts () =
+  let row codec input expected =
+    let got =
+      match Packed.run_unpack_result codec (Bytes.of_string input) with
+      | Ok v -> Some v
+      | Error _ -> None
+    in
+    if got <> expected then Alcotest.failf "verdict on %S differs" input
+  in
+  let int = row Packed.int and str = row Packed.string in
+  int "0x10\n" (Some 16);
+  int "1_000\n" (Some 1000);
+  int "+5\n" (Some 5);
+  int "007\n" (Some 7);
+  int "-0\n" (Some 0);
+  int "0u5\n" (Some 5);
+  int "0b101\n" (Some 5);
+  int "-12\n" (Some (-12));
+  int "4611686018427387903\n" (Some max_int);
+  int "-4611686018427387904\n" (Some min_int);
+  int "4611686018427387904\n" None;
+  int "99999999999999999999\n" None;
+  int " 5\n" None;
+  int "5 \n" None;
+  int "-\n" None;
+  int "--5\n" None;
+  int "\n" None;
+  int "" None;
+  int "5" None (* missing terminator *);
+  int "1\n2\n" None (* trailing bytes *);
+  row Packed.bool "T\n" (Some true);
+  row Packed.bool "F\n" (Some false);
+  row Packed.bool "t\n" None;
+  row Packed.bool "T" None;
+  str "3\nabc\n" (Some "abc");
+  str "0x3\nabc\n" (Some "abc");
+  str "+2\nab\n" (Some "ab");
+  str "0\n\n" (Some "");
+  str "5\nab\n" None (* truncated raw block *);
+  str "2\nabX" None (* missing terminator *);
+  str "2\nab" None;
+  str "-1\nab\n" None;
+  str "2\nab\nx" None (* trailing bytes *);
+  row (Packed.list Packed.int) "0x2\n1\n2\n" (Some [ 1; 2 ]);
+  row (Packed.list Packed.int) "-1\n" None;
+  row (Packed.list Packed.int) "3\n1\n2\n" None;
+  row (Packed.option Packed.int) "F\n" (Some None);
+  row (Packed.option Packed.int) "T\n7\n" (Some (Some 7));
+  let req = row Ntcs.Ns_proto.request_codec in
+  req "3\nlku\n4\necho\n" (Some (Ntcs.Ns_proto.Lookup "echo"));
+  req "+3\nlku\n4\necho\n" (Some (Ntcs.Ns_proto.Lookup "echo"));
+  req "3\ngws\n" (Some Ntcs.Ns_proto.List_gateways);
+  req "3\nzzz\n" None (* unknown tag *);
+  req "2\nlk\n" None;
+  req "3\nlku\n" None;
+  req "3\nlkv\n1\nx\n0x1\n" (Some (Ntcs.Ns_proto.Lookup_v ("x", 1)));
+  let layout = row (Packed.of_layout [ Layout.F_i32; Layout.F_char_array 2 ]) in
+  layout "7\n2\nab\n" (Some [ Layout.V_int 7; Layout.V_str "ab" ]);
+  layout "7\n3\nabc\n" (Some [ Layout.V_int 7; Layout.V_str "abc" ]);
+  layout "7\n" None
+
+(* --- allocation guard for the packed codec --- *)
+
+(* Minor words per call, averaged over enough calls to drown the reading's
+   own float. *)
+let words_per_call f =
+  let n = 1_000 in
+  for _ = 1 to 100 do ignore (Sys.opaque_identity (f ())) done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do ignore (Sys.opaque_identity (f ())) done;
+  (Gc.minor_words () -. w0) /. float_of_int n
+
+(* The perfbench message packs to about 450 bytes, a 58-word result. On
+   x86-64 with OCaml 5.1 the Buffer-based codecs allocated 305 words per
+   [run_pack], 882 with [of_layout] rebuilt per message, and 477 per
+   [run_unpack], which copied its input and cut a substring per token. The
+   exact-size writer allocates only its result and [of_layout] three
+   closures; the in-place reader allocates the decoded values (33 list
+   cells, 33 boxed values, one 127-byte string) and its cursor. *)
+let test_packed_alloc_ceiling () =
+  let values = bench_values 1 in
+  let codec = Packed.of_layout bench_layout in
+  let packed = Packed.run_pack codec values in
+  let check name ceiling f =
+    let w = words_per_call f in
+    if w > ceiling then Alcotest.failf "%s: %.1f minor words per call, ceiling %.0f" name w ceiling
+  in
+  check "run_pack" 64. (fun () -> Packed.run_pack codec values);
+  check "run_pack (of_layout l)" 80. (fun () ->
+      Packed.run_pack (Packed.of_layout bench_layout) values);
+  check "run_unpack" 200. (fun () -> Packed.run_unpack codec packed)
 
 (* --- shift mode --- *)
 
@@ -309,6 +529,14 @@ let () =
           Alcotest.test_case "order independent" `Quick test_packed_is_order_independent;
           Alcotest.test_case "tagged unions" `Quick test_packed_tagged;
         ] );
+      ( "packed golden",
+        [
+          Alcotest.test_case "corpus digest" `Quick test_packed_golden;
+          Alcotest.test_case "corpus decodes" `Quick test_packed_golden_decodes;
+          Alcotest.test_case "decode verdicts" `Quick test_packed_verdicts;
+        ] );
+      ( "packed alloc",
+        [ Alcotest.test_case "pack and unpack ceilings" `Quick test_packed_alloc_ceiling ] );
       ( "shift",
         [
           Alcotest.test_case "words" `Quick test_shift_words;
