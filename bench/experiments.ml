@@ -1321,181 +1321,6 @@ let hot_full () = hot_path ~smoke:false ()
 let hot_smoke () = hot_path ~smoke:true ()
 
 (* ------------------------------------------------------------------ *)
-(* PAR: domain-parallel frames/sec vs domain count                     *)
-(*      (writes BENCH_parallel.json)                                   *)
-
-(* Each shard hosts the full two-network reference topology (ether +
-   apollo ring, one prime gateway, NS on the vax) with an echo service on
-   the ring side and a client on the ether side, so every call crosses
-   the gateway; after each call the client passes a token to the next
-   shard over a barrier channel, so the shards are genuinely coupled at
-   call cadence, not embarrassingly parallel. Output is bit-deterministic
-   for any worker count (DESIGN.md §14); the wall clock is not, which is
-   the point of measuring it. *)
-
-let par_quantum = 5_000
-let par_until = 30_000_000
-
-type par_row = {
-  pw_domains : int;
-  pw_calls_ok : int;
-  pw_frames : int;
-  pw_events : int;
-  pw_max_shard_events : int;
-  pw_epochs : int;
-  pw_cross : int;
-  pw_wall_s : float;
-}
-
-let par_run ~domains ~msgs () =
-  let module Par = Ntcs_sim.World.Par in
-  let p =
-    Par.create ~quantum:par_quantum
-      { Ntcs_sim.World.Config.default with Ntcs_sim.World.Config.domains }
-  in
-  let n = Par.shard_count p in
-  let oks = Array.make n 0 in
-  for i = 0 to n - 1 do
-    let c =
-      Cluster.build
-        ~world:(Par.shard p i)
-        ~nets:[ ("ether", Ntcs_sim.Net.Tcp_lan); ("ring", Ntcs_sim.Net.Mbx_ring) ]
-        ~machines:
-          [
-            ("vax1", Ntcs_sim.Machine.Vax, [ "ether" ]);
-            ("bridge", Ntcs_sim.Machine.Sun3, [ "ether"; "ring" ]);
-            ("ap1", Ntcs_sim.Machine.Apollo, [ "ring" ]);
-            ("sun1", Ntcs_sim.Machine.Sun3, [ "ether" ]);
-          ]
-        ~gateways:[ ("bridge-gw", "bridge", [ "ether"; "ring" ]) ]
-        ~ns:"vax1" ()
-    in
-    spawn_echo c ~machine:"ap1" ~name:"svc";
-    let out = Par.chan p ~src:i ~dst:((i + 1) mod n) ~latency:par_quantum in
-    let dst = Par.shard p ((i + 1) mod n) in
-    Ntcs_sim.Barrier.Chan.set_handler out (fun k ->
-        Ntcs_sim.World.record dst ~cat:"par.token" ~actor:"bench" (string_of_int k));
-    ignore
-      (Cluster.spawn c ~machine:"sun1" ~name:"client" (fun node ->
-           Ntcs_sim.Sched.sleep (Node.sched node) 2_500_000;
-           match Commod.bind node ~name:"client" with
-           | Error _ -> ()
-           | Ok commod -> (
-             match Ali_layer.locate commod "svc" with
-             | Error _ -> ()
-             | Ok addr ->
-               for k = 1 to msgs do
-                 (match Ali_layer.send_sync commod ~dst:addr (raw "x") with
-                  | Ok _ -> oks.(i) <- oks.(i) + 1
-                  | Error _ -> ());
-                 Ntcs_sim.Barrier.Chan.send out k
-               done)))
-  done;
-  Gc.compact ();
-  let t0 = Unix.gettimeofday () in
-  Par.run ~until:par_until ~workers:domains p;
-  let wall = Unix.gettimeofday () -. t0 in
-  let frames =
-    Array.fold_left
-      (fun acc w -> acc + Ntcs_obs.Registry.get (Ntcs_sim.World.obs w) "nd.frames_sent")
-      0 (Par.shards p)
-  in
-  let per_shard = Par.events_per_shard p in
-  {
-    pw_domains = domains;
-    pw_calls_ok = Array.fold_left ( + ) 0 oks;
-    pw_frames = frames;
-    pw_events = Array.fold_left ( + ) 0 per_shard;
-    pw_max_shard_events = Array.fold_left max 0 per_shard;
-    pw_epochs = Par.epochs p;
-    pw_cross = Par.messages_exchanged p;
-    pw_wall_s = wall;
-  }
-
-let par_bench ~smoke () =
-  Bench_util.header
-    (if smoke then "PAR (smoke): 1/2-domain slice of the parallel-world bench"
-     else "PAR: domain-parallel frames/sec vs domain count")
-    "engineering telemetry for the reproduction itself (no paper counterpart)";
-  let cores = Domain.recommended_domain_count () in
-  let msgs = if smoke then 10 else 100 in
-  let domain_counts = if smoke then [ 1; 2 ] else [ 1; 2; 4 ] in
-  let rows = List.map (fun d -> par_run ~domains:d ~msgs ()) domain_counts in
-  let base = List.hd rows in
-  let fps r = if r.pw_wall_s > 0. then float_of_int r.pw_frames /. r.pw_wall_s else 0. in
-  let speedup r = if fps base > 0. then fps r /. fps base else 0. in
-  (* Structural speedup: with one core per shard and free barriers, wall
-     time would be the slowest shard's, so total/max events bounds the
-     achievable ratio. On a [cores]-core host the wall-clock ratio cannot
-     exceed [cores], whatever the topology. *)
-  let structural r =
-    if r.pw_max_shard_events > 0 then
-      float_of_int r.pw_events /. float_of_int r.pw_max_shard_events
-    else 0.
-  in
-  Printf.printf "  host cores available to domains: %d\n\n" cores;
-  Bench_util.table
-    ~columns:
-      [ "domains"; "calls ok"; "frames"; "events"; "epochs"; "cross msgs";
-        "wall s"; "frames/s"; "vs 1 domain"; "structural" ]
-    (List.map
-       (fun r ->
-         [
-           string_of_int r.pw_domains;
-           string_of_int r.pw_calls_ok;
-           string_of_int r.pw_frames;
-           string_of_int r.pw_events;
-           string_of_int r.pw_epochs;
-           string_of_int r.pw_cross;
-           Printf.sprintf "%.3f" r.pw_wall_s;
-           Printf.sprintf "%.0f" (fps r);
-           Printf.sprintf "%.2fx" (speedup r);
-           Printf.sprintf "%.2fx" (structural r);
-         ])
-       rows);
-  Printf.printf
-    "\n  (frames/s is wall-clock and host-dependent; on a %d-core host the\n\
-    \   wall ratio is bounded by %d whatever the shard count — `structural`\n\
-    \   is the events-balance bound a multi-core host could approach)\n"
-    cores cores;
-  if not smoke then begin
-    let b = Buffer.create 1024 in
-    Buffer.add_string b "{\n  \"schema\": \"ntcs.bench.parallel/1\",\n";
-    Buffer.add_string b
-      (Printf.sprintf
-         "  \"host_cores\": %d,\n  \"quantum_us\": %d,\n  \"msgs_per_shard\": %d,\n"
-         cores par_quantum msgs);
-    Buffer.add_string b "  \"frames_per_sec_vs_domains\": [\n    ";
-    Buffer.add_string b
-      (String.concat ",\n    "
-         (List.map
-            (fun r ->
-              Printf.sprintf
-                "{\"domains\":%d,\"workers\":%d,\"calls_ok\":%d,\"frames\":%d,\
-                 \"events\":%d,\"epochs\":%d,\"cross_messages\":%d,\
-                 \"wall_s\":%.3f,\"frames_per_sec\":%.0f,\
-                 \"speedup_vs_1_domain\":%.2f,\"structural_speedup\":%.2f}"
-                r.pw_domains r.pw_domains r.pw_calls_ok r.pw_frames r.pw_events
-                r.pw_epochs r.pw_cross r.pw_wall_s (fps r) (speedup r)
-                (structural r))
-            rows));
-    Buffer.add_string b "\n  ],\n";
-    Buffer.add_string b
-      "  \"note\": \"wall-clock fields are host-dependent; speedup_vs_1_domain \
-       is bounded by host_cores (1 on a single-core host), while \
-       structural_speedup is the events-balance bound a multi-core host \
-       could approach. Simulation output is bit-identical for every worker \
-       count.\"\n}\n";
-    let oc = open_out "BENCH_parallel.json" in
-    Buffer.output_buffer oc b;
-    close_out oc;
-    Printf.printf "\n  wrote BENCH_parallel.json (wall fields vary per machine; counts do not)\n"
-  end
-
-let par_full () = par_bench ~smoke:false ()
-let par_smoke () = par_bench ~smoke:true ()
-
-(* ------------------------------------------------------------------ *)
 (* NAMING: the sharded naming plane (writes BENCH_naming.json)         *)
 (* ------------------------------------------------------------------ *)
 

@@ -25,10 +25,6 @@ let experiments =
      Experiments.hot_full);
     ("hot-smoke", "HOT (smoke): 1-second slice of the hot-path bench",
      Experiments.hot_smoke);
-    ("par", "PAR: domain-parallel frames/sec vs domain count (writes BENCH_parallel.json)",
-     Experiments.par_full);
-    ("par-smoke", "PAR (smoke): 1/2-domain slice of the parallel-world bench",
-     Experiments.par_smoke);
     ("naming", "NAMING: sharded naming plane (writes BENCH_naming.json)",
      Experiments.naming_full);
     ("naming-smoke", "NAMING (smoke): sharded naming-plane slice",

@@ -9,8 +9,9 @@
      (circuit, seq, name), at most one close per circuit;
    - every opened message span ends — the LCM brackets its primitives
      synchronously — unless its owner died mid-operation (the circuit is
-     then marked crashed by the dispatcher's exit hook) or the run ended
-     with the operation genuinely in flight (its circuit is still open);
+     then marked crashed by the LCM's exit hook on that owner) or the run
+     ended with the operation genuinely in flight (its circuit is still
+     open);
    - a circuit close carries a known reason.
 
    Instant (I) events — nd.tx / nd.rx / gw.forward / lcm.deliver hops —

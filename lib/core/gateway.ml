@@ -52,10 +52,8 @@ type t = {
   prime_addrs : (Net.id * Addr.t) list; (* pre-assigned well-known addresses *)
   prime_phys : (Net.id * Phys_addr.t list) list; (* fixed listening resources *)
   mutable commods : (Net.id * Commod.t) list;
-  events : (Net.id * Commod.t * Ip_layer.gw_event) Sched.Mailbox.mb;
   (* (net of receiving commod, circuit id, label) -> the other leg *)
   splices : (Net.id * int * int, leg) Hashtbl.t;
-  mutable running : bool;
 }
 
 let create node ~name ~nets ?(prime_addrs = []) ?(prime_phys = []) () =
@@ -66,9 +64,7 @@ let create node ~name ~nets ?(prime_addrs = []) ?(prime_phys = []) () =
     prime_addrs;
     prime_phys;
     commods = [];
-    events = Sched.Mailbox.create (Node.sched node);
     splices = Hashtbl.create 32;
-    running = true;
   }
 
 let obs t = Node.obs t.node
@@ -215,7 +211,7 @@ let remove_splice_pair t in_key (out_leg : leg) =
    leave exactly as they arrived. [h] is the pre-patch header snapshot —
    patches build a fresh memoised record, so the error path below still
    sees the inbound label and source. *)
-let handle_frame t (net : Net.id) (_commod : Commod.t) circuit (view : Proto.Frame.t) =
+let handle_frame t (net : Net.id) circuit (view : Proto.Frame.t) =
   let h = Proto.Frame.header view in
   let key = leg_key net circuit h.Proto.ivc in
   match Hashtbl.find_opt t.splices key with
@@ -334,30 +330,25 @@ let serve t () =
          the set of gateway addresses from these events. *)
       event t (Trace_event.Gw_addr (Nd_layer.my_addr (Commod.nd commod))))
     t.commods;
-  (* Route every ComMod's gateway events into one mailbox. *)
+  (* Each ComMod's gateway events are handled where they arise, in the
+     reader of the circuit they came in on. Only a chain open runs in a
+     worker process of its own: it blocks on naming and channel setup, and
+     the circuit must keep forwarding meanwhile. *)
   List.iter
     (fun (net, commod) ->
-      Ip_layer.set_gateway_handler (Commod.ip commod) (fun ev ->
-          Sched.Mailbox.send t.events (net, commod, ev)))
+      Ip_layer.set_gateway_handler (Commod.ip commod) (function
+        | Ip_layer.Gw_open (circuit, h, req) ->
+          ignore
+            (World.spawn (Node.world t.node) ~machine:(Node.machine t.node)
+               ~name:(Printf.sprintf "%s/open-worker" t.gw_name) (fun () ->
+                 handle_open t net commod circuit h req))
+        | Ip_layer.Gw_frame (circuit, view) -> handle_frame t net circuit view
+        | Ip_layer.Gw_down circuit -> handle_down t net circuit))
     t.commods;
   trace t ~cat:"gw.up" (Printf.sprintf "bridging nets [%s]" (spans_csv t));
-  while t.running do
-    match Sched.Mailbox.recv t.events with
-    | None -> ()
-    | Some (net, commod, ev) -> (
-      match ev with
-      | Ip_layer.Gw_open (circuit, h, req) ->
-        (* Worker process: the open blocks on naming and channel setup. *)
-        ignore
-          (World.spawn (Node.world t.node) ~machine:(Node.machine t.node)
-             ~name:(Printf.sprintf "%s/open-worker" t.gw_name) (fun () ->
-               handle_open t net commod circuit h req))
-      | Ip_layer.Gw_frame (circuit, view) ->
-        ignore (handle_frame t net commod circuit view)
-      | Ip_layer.Gw_down circuit -> handle_down t net circuit)
-  done
-
-let stop t = t.running <- false
+  (* Park: the ComMods live as long as this process, and its exit shuts
+     them down. *)
+  Sched.suspend ignore
 
 let splice_count t = Hashtbl.length t.splices
 

@@ -30,10 +30,10 @@ val create :
 
 val serve : t -> unit -> unit
 (** The gateway process body: bind one ComMod per network, adopt or
-    register addresses, then forward forever. Chain establishment runs in
+    register addresses, install the forwarding handlers, then park — the
+    ComMods live as long as this process. Frames are forwarded by the
+    readers of the circuits they arrive on; chain establishment runs in
     worker processes so forwarding never blocks. Spawn with [World.spawn]. *)
-
-val stop : t -> unit
 
 val splice_count : t -> int
 (** Live spliced leg pairs (2 table entries per chain). *)

@@ -439,7 +439,6 @@ let materialise t view =
 
 let handle_event t (ev : Nd_layer.event) =
   match ev with
-  | Nd_layer.Circuit_up _ -> Consumed
   | Nd_layer.Circuit_down (circuit, _err) -> handle_circuit_down t circuit
   | Nd_layer.Frame (circuit, view) ->
     let h = Proto.Frame.header view in

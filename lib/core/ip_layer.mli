@@ -97,7 +97,8 @@ val close_ivc : t -> ivc -> reason:string -> unit
 (** Close; a chained circuit sends IVC_CLOSE down the chain (§4.3). *)
 
 val handle_event : t -> Nd_layer.event -> action
-(** The dispatcher feeds every ND event through here. *)
+(** Every ND event passes through here first: the LCM's delivery upcall
+    calls it inside the circuit's reader. *)
 
 val forget_peer : t -> Addr.t -> unit
 (** Drop connection state so the next send reopens (relocation, §3.5). *)

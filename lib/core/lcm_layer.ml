@@ -18,8 +18,10 @@
    know of the Name Server"); [Node.config.ns_fault_guard] switches between
    the two behaviours.
 
-   One dispatcher process per ComMod pumps ND events through the IP-layer
-   and routes application traffic into the inbox / reply ivars. *)
+   Received traffic arrives by upcall: the ND-layer's circuit readers call
+   [deliver], which runs the IP-layer's event handling and routes
+   application traffic into the inbox / reply ivars, all inside the
+   reader. *)
 
 open Ntcs_sim
 open Ntcs_wire
@@ -56,8 +58,6 @@ type t = {
   mutable next_conv : int;
   mutable next_seq : int;
   mutable monitor_suppress : bool;
-  mutable dispatcher : Sched.pid option;
-  mutable on_peer_down : (Addr.t -> unit) option;
   mutable on_relocate : (old:Addr.t -> fresh:Addr.t -> unit) option;
   (* §3.5 reconfiguration hook: fires when the address-fault handler learns
      a relocation and patches the forwarding table — the NSP-layer listens
@@ -165,7 +165,6 @@ let spanned t ~dst ~op f =
 
 let set_fault_oracle t f = t.fault_oracle <- Some f
 let set_ns_addr t a = t.ns_addr <- Some a
-let set_on_peer_down t f = t.on_peer_down <- Some f
 let set_on_relocate t f = t.on_relocate <- Some f
 
 let fresh_conv t =
@@ -476,7 +475,7 @@ let try_recv t =
   | Some env -> Some env
   | None -> Sched.Mailbox.recv_opt t.app_inbox
 
-(* --- the dispatcher --- *)
+(* --- delivery, by upcall from the circuit readers --- *)
 
 let envelope_of t (d : Ip_layer.delivery) kind =
   ignore t;
@@ -535,7 +534,7 @@ let handle_delivery t (d : Ip_layer.delivery) =
     | Some slot -> ignore (Sched.Ivar.try_fill slot.rs_ivar (Ok (envelope_of t d `Data)))
     | None -> Ntcs_obs.Registry.incr (obs t) "lcm.orphan_replies")
   | Proto.Ping ->
-    (* Answer from the dispatcher itself: liveness must not depend on the
+    (* Answer from the reader itself: liveness must not depend on the
        application draining its inbox. *)
     let pong =
       (* The pong echoes the ping's span ctx, so the probe's round trip is
@@ -568,20 +567,14 @@ let peers_down t peers =
         (fun (_, slot) ->
           if Addr.equal slot.rs_dst peer then
             ignore (Sched.Ivar.try_fill slot.rs_ivar (Error Errors.Circuit_failed)))
-        (Ntcs_util.sorted_bindings t.waiting);
-      match t.on_peer_down with Some f -> f peer | None -> ())
+        (Ntcs_util.sorted_bindings t.waiting))
     peers
 
-let dispatcher_loop t =
-  while t.running do
-    match Nd_layer.next_event t.nd with
-    | None -> () (* no timeout given: unreachable *)
-    | Some ev -> (
-      match Ip_layer.handle_event t.ip ev with
-      | Ip_layer.Consumed -> ()
-      | Ip_layer.Down peers -> peers_down t peers
-      | Ip_layer.Deliver d -> handle_delivery t d)
-  done
+let deliver t ev =
+  match Ip_layer.handle_event t.ip ev with
+  | Ip_layer.Consumed -> ()
+  | Ip_layer.Down peers -> peers_down t peers
+  | Ip_layer.Deliver d -> handle_delivery t d
 
 let create node nd ip =
   let t =
@@ -605,8 +598,6 @@ let create node nd ip =
       next_conv = 1;
       next_seq = 1;
       monitor_suppress = false;
-      dispatcher = None;
-      on_peer_down = None;
       on_relocate = None;
       running = true;
       deepest = 0;
@@ -621,17 +612,14 @@ let create node nd ip =
         };
     }
   in
-  let pid =
-    World.spawn (Node.world node) ~machine:(Node.machine node)
-      ~name:(Printf.sprintf "%s/lcm-dispatch" nd.Nd_layer.owner) (fun () -> dispatcher_loop t)
-  in
-  t.dispatcher <- Some pid;
+  Nd_layer.set_deliver nd (deliver t);
   (* However this ComMod dies, its open circuit spans get their E event:
      "shutdown" on a clean stop, "crashed" when the machine went down under
-     us (the fault plane killing the dispatcher while we were running) or
-     the dispatcher itself raised. The span invariant — every opened circuit
-     closed or marked crashed — rests on this hook. *)
-  Sched.on_exit (Node.sched node) pid (fun status ->
+     us (the fault plane killing the owner while we were running) or the
+     owner itself raised. The span invariant — every opened circuit closed
+     or marked crashed — rests on this hook. *)
+  let sched = Node.sched node in
+  Sched.on_exit sched (Sched.self sched) (fun status ->
       match status with
       | Sched.Crashed _ -> close_all_circuits t ~reason:"crashed"
       | Sched.Was_killed ->
@@ -641,9 +629,6 @@ let create node nd ip =
 
 let shutdown t =
   t.running <- false;
-  (match t.dispatcher with
-   | Some pid -> Sched.kill (Node.sched t.node) pid
-   | None -> ());
   close_all_circuits t ~reason:"shutdown";
   Nd_layer.shutdown t.nd
 

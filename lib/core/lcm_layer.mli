@@ -13,8 +13,9 @@
     pathology is reproduced verbatim together with the paper's patch;
     [Node.config.ns_fault_guard] selects the behaviour.
 
-    One dispatcher process per ComMod pumps ND events through the IP-layer
-    and routes traffic to the inbox / reply ivars. *)
+    Received traffic arrives by upcall from the ND-layer's circuit readers
+    ({!Nd_layer.set_deliver}): the IP-layer's event handling and the
+    routing to the inbox / reply ivars run inside the reader. *)
 
 open Ntcs_wire
 
@@ -35,7 +36,8 @@ type envelope = Std_if.envelope = {
 type t
 
 val create : Node.t -> Nd_layer.t -> Ip_layer.t -> t
-(** Starts the dispatcher process. Call from the owning process. *)
+(** Installs the ND delivery upcall. Call from the owning process: its exit
+    closes this ComMod's circuit spans. *)
 
 val shutdown : t -> unit
 
@@ -44,8 +46,6 @@ val set_fault_oracle : t -> (Addr.t -> (Addr.t option, Errors.t) result) -> unit
 
 val set_ns_addr : t -> Addr.t -> unit
 (** Who the name server is — consumed by the §6.3 guard. *)
-
-val set_on_peer_down : t -> (Addr.t -> unit) -> unit
 
 val set_on_relocate : t -> (old:Addr.t -> fresh:Addr.t -> unit) -> unit
 (** §3.5 reconfiguration hook: fires when the address-fault handler learns

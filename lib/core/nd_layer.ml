@@ -12,8 +12,9 @@
    - TAdd handling (§3.4): an incoming connection from a temporary-address
      source gets a locally-assigned alias TAdd, purged the moment a real
      UAdd is seen from that circuit;
-   - reader processes per circuit that demultiplex frames into the ComMod's
-     single event inbox and pass failure notifications upward.
+   - a reader process per circuit that hands each received frame, and the
+     circuit's failure, straight up: the layers above run as a call inside
+     the reader (an upcall), not in a process of their own.
 
    No relocation, no reconnection, no conversion decisions for chained
    circuits (those belong to the IVC layer, which knows the final
@@ -45,7 +46,6 @@ and span_text = { mutable st_key : (Proto.kind * Addr.t) option; mutable st_text
 
 and event =
   | Frame of circuit * Proto.Frame.t (* zero-copy view; header pre-validated *)
-  | Circuit_up of circuit (* inbound circuit completed its handshake *)
   | Circuit_down of circuit * Errors.t
 
 and t = {
@@ -55,7 +55,7 @@ and t = {
   mutable my_addr : Addr.t; (* TAdd until registration completes *)
   mutable my_past : Addr.t list; (* previous self-addresses, still accepted *)
   tadds : Addr.Tadd_gen.gen;
-  inbox : event Sched.Mailbox.mb;
+  mutable deliver : event -> unit; (* the upcall into the layers above *)
   circuits : (Addr.t, circuit) Hashtbl.t;
   alias_fwd : (Addr.t, Addr.t) Hashtbl.t; (* purged alias -> real UAdd *)
   phys_cache : (Addr.t, Phys_addr.t list) Hashtbl.t;
@@ -66,6 +66,7 @@ and t = {
 }
 
 let sched t = Node.sched t.node
+let set_deliver t f = t.deliver <- f
 let obs t = Node.obs t.node
 let trace t ~cat detail = Node.record t.node ~cat ~actor:t.owner detail
 
@@ -248,12 +249,7 @@ let handle_incoming (c : circuit) raw =
        source is the remote origin, not the gateway this circuit goes to —
        re-keying on it would steal the gateway's table entry. *)
     if h.Proto.ivc = 0 && Addr.is_unique h.Proto.src then upgrade_peer c h.Proto.src;
-    (* The view's backing store is this frame's own receive buffer — STD-IF
-       hands each message fresh bytes, never pooled — so queueing it in the
-       inbox is the designed ownership hand-off: the consumer holds the only
-       reference and no release can recycle it under them. *)
-    (* lint: allow escape(v) — inbox hand-off of an unpooled per-message receive buffer *)
-    Sched.Mailbox.send t.inbox (Frame (c, v))
+    t.deliver (Frame (c, v))
 
 let reader_loop (c : circuit) =
   let t = c.nd in
@@ -270,7 +266,7 @@ let reader_loop (c : circuit) =
         (match Hashtbl.find_opt t.circuits c.peer_addr with
          | Some c' when c' == c -> Hashtbl.remove t.circuits c.peer_addr
          | Some _ | None -> ());
-        Sched.Mailbox.send t.inbox (Circuit_down (c, Errors.of_ipcs e))
+        t.deliver (Circuit_down (c, Errors.of_ipcs e))
       end
   in
   loop ()
@@ -349,7 +345,6 @@ let inbound_handshake t (lvc : Std_if.lvc) =
           (match send_frame c ack_header (hello_payload t) with
            | Ok () ->
              trace t ~cat:"nd.accept" (Addr.to_string key);
-             Sched.Mailbox.send t.inbox (Circuit_up c);
              reader_loop c
            | Error _ -> close_circuit c)
       end)
@@ -460,8 +455,7 @@ let open_circuit t ~(phys : Phys_addr.t) =
    address kind this machine (restricted to [allowed_nets]) can speak, and
    start the accept loops. Must be called from within the owning process. *)
 let create node ~owner ?allowed_nets ?(fixed = []) () =
-  let sched_ = Node.sched node in
-  let self = Sched.self sched_ in
+  let self = Sched.self (Node.sched node) in
   let t =
     {
       node;
@@ -470,7 +464,7 @@ let create node ~owner ?allowed_nets ?(fixed = []) () =
       my_addr = Addr.temporary ~assigner:self ~value:0;
       my_past = [];
       tadds = Addr.Tadd_gen.create ~assigner:self;
-      inbox = Sched.Mailbox.create sched_;
+      deliver = ignore;
       circuits = Hashtbl.create 16;
       alias_fwd = Hashtbl.create 8;
       phys_cache = Hashtbl.create 32;
@@ -543,7 +537,5 @@ let shutdown t =
     List.iter (fun pid -> Sched.kill (sched t) pid) t.helpers;
     t.helpers <- []
   end
-
-let next_event ?timeout_us t = Sched.Mailbox.recv ?timeout:timeout_us t.inbox
 
 let circuit_count t = Hashtbl.length t.circuits

@@ -13,8 +13,9 @@
     - TAdd handling (§3.4): an incoming connection from a temporary-address
       source gets a locally-assigned alias, purged the moment a real UAdd is
       seen on that circuit;
-    - reader processes per circuit, demultiplexing frames into the ComMod's
-      single event inbox and passing failure notifications upward. *)
+    - a reader process per circuit, handing each received frame and the
+      circuit's failure straight up through {!set_deliver}: the layers
+      above run inside the reader, as a call. *)
 
 open Ntcs_sim
 open Ntcs_ipcs
@@ -44,7 +45,6 @@ and event =
   | Frame of circuit * Proto.Frame.t
       (** a received frame as a zero-copy view over the receive buffer;
           the header is already decoded and memoised *)
-  | Circuit_up of circuit  (** inbound circuit completed its handshake *)
   | Circuit_down of circuit * Errors.t
 
 and t = {
@@ -55,7 +55,7 @@ and t = {
   mutable my_addr : Addr.t;
   mutable my_past : Addr.t list;
   tadds : Addr.Tadd_gen.gen;
-  inbox : event Sched.Mailbox.mb;
+  mutable deliver : event -> unit;  (** see {!set_deliver} *)
   circuits : (Addr.t, circuit) Hashtbl.t;
   alias_fwd : (Addr.t, Addr.t) Hashtbl.t;
   phys_cache : (Addr.t, Phys_addr.t list) Hashtbl.t;
@@ -75,6 +75,12 @@ val create :
 (** Allocate one communication resource per address kind this module can
     speak (well-known modules pass [fixed] resources) and start the accept
     loops. Call from within the owning process. *)
+
+val set_deliver : t -> (event -> unit) -> unit
+(** Install the upcall every received frame and circuit failure is handed
+    to, in the process of the circuit's reader (the LCM installs it at
+    creation). A frame's view is over that message's own receive buffer,
+    which is never pooled. Until one is installed, events are dropped. *)
 
 val shutdown : t -> unit
 (** Abort every circuit, close listeners, kill helper processes — what
@@ -126,8 +132,5 @@ val send_frame : circuit -> Proto.header -> Bytes.t -> (unit, Errors.t) result
 val forward_view : circuit -> Proto.Frame.t -> (unit, Errors.t) result
 (** Transmit a received frame as-is (headers already patched in place):
     no re-encode, no payload copy. A failure marks the circuit broken. *)
-
-val next_event : ?timeout_us:int -> t -> event option
-(** Pull the next demultiplexed event (the LCM dispatcher's loop). *)
 
 val circuit_count : t -> int

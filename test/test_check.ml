@@ -299,7 +299,16 @@ let test_repo_conformant () =
        is visible to the graph analysis — it passes because the Recursion
        guard is referenced inside the cycle, not because no cycle exists. *)
     let srcs = List.map Lint_lex.load (Lint.source_files [ "lib" ]) in
-    let components = Check_graph.sccs (Check_graph.graph srcs) in
+    let edges = Check_graph.graph srcs in
+    let components = Check_graph.sccs edges in
+    (* Received frames climb from ND into the LCM by upcall: a back edge
+       only the installer table makes visible. *)
+    Alcotest.(check bool) "the ND delivery upcall is an edge" true
+      (List.exists
+         (fun e ->
+           e.Check_graph.e_src = "Nd_layer" && e.Check_graph.e_dst = "Lcm_layer"
+           && e.Check_graph.e_via = "Nd_layer.set_deliver")
+         edges);
     Alcotest.(check bool) "the guarded NSP<->LCM cycle is seen" true
       (List.exists
          (fun scc ->

@@ -62,7 +62,7 @@ let test_trace_identical () =
    links plus a crash/restart of an idle machine. Injections draw from the
    plane's seeded stream, so the whole faulty run — injections included —
    must still be byte-reproducible. *)
-let run_once_faulty seed =
+let faulty_cluster seed =
   let config =
     {
       Ntcs_sim.World.Config.default with
@@ -99,6 +99,10 @@ let run_once_faulty seed =
   (match !got with
    | Some env -> Alcotest.(check string) "echo under faults" "echo:f" (body env)
    | None -> Alcotest.fail "no faulty echo");
+  c
+
+let run_once_faulty seed =
+  let c = faulty_cluster seed in
   let trace_txt = Fmt.str "%a" Ntcs_sim.Trace.dump (Ntcs_sim.World.trace (Cluster.world c)) in
   let metrics_txt = Fmt.str "%a" Ntcs_obs.Registry.pp_stats (Cluster.obs c) in
   let entries = Ntcs_sim.Trace.entries (Ntcs_sim.World.trace (Cluster.world c)) in
@@ -137,10 +141,12 @@ let test_r3_invariants_hold () =
       (String.concat "\n" (List.map (Fmt.str "%a" Check_invariants.pp_violation) vs))
 
 (* Rendered telemetry pinned across code changes, not only run against run:
-   the digests below were captured from the Printf-based renderers, so any
-   change to a trace line or span detail fails here. The second run crosses
-   three gateways between a Sun and a VAX over TCP LANs and MBX rings, so
-   its frames travel in packed mode with hop counts up to 3. *)
+   any change to a trace line or span detail fails here. A change in how
+   many processes a ComMod spawns moves them too (TAdds carry a pid), so
+   such a change re-captures them only after the canonical digests below
+   still pass unmodified. The second run crosses three gateways between a
+   Sun and a VAX over TCP LANs and MBX rings, so its frames travel in
+   packed mode with hop counts up to 3. *)
 let run_hetero seed =
   let c =
     Cluster.build ~seed
@@ -272,14 +278,75 @@ let check_digest label want text =
 
 let test_rendered_golden () =
   let trace, _, _, _, spans = run_once 42 in
-  check_digest "run_once 42 trace" "5a289c0fb08924345e654dcf52e09c16" trace;
-  check_digest "run_once 42 spans" "4837e7ee04d0961ddc63f67ba3366f5a" spans;
+  check_digest "run_once 42 trace" "aee4d19d017c0d5b382054665777d1eb" trace;
+  check_digest "run_once 42 spans" "1c831eb4fefbaa03621289ec9b430ea6" spans;
   let trace, spans = run_hetero 42 in
-  check_digest "3-gateway hetero trace" "2ac218ed5ae281cfa3232dba4068ee73" trace;
-  check_digest "3-gateway hetero spans" "bea52a90f31692c6e63da66cb61c9f86" spans;
+  check_digest "3-gateway hetero trace" "790a44be9bcabda4066381eff53927aa" trace;
+  check_digest "3-gateway hetero spans" "eeff3523e80b85d7c746e93935cef869" spans;
   let trace, spans = run_sharded 42 in
   check_digest "sharded naming trace" "fa63846ca478cc1df8fd02518d30772d" trace;
-  check_digest "sharded naming spans" "09b29e8f6bbed7b04a3550cb1804e22d" spans
+  check_digest "sharded naming spans" "abf46922568bee70b120e90a8c5787c7" spans
+
+(* The same runs pinned in a canonical form that is blind to two things a
+   change in process structure may legitimately move: a TAdd's assigner is
+   the pid of the process that created its ND-layer, so spawning fewer
+   processes renumbers every [T<assigner>.<value>] to [T?.<value>]; and
+   entries logged at the same virtual instant by different processes may
+   come out in another order, so each instant's lines are sorted. Anything
+   else — a timestamp, a value, a line gained or lost — still fails. *)
+let erase_tadd_assigners line =
+  let b = Buffer.create (String.length line) in
+  let n = String.length line in
+  let is_digit c = c >= '0' && c <= '9' in
+  let is_word c = is_digit c || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_' in
+  let rec go i =
+    if i < n then begin
+      let c = line.[i] in
+      let j = ref (i + 1) in
+      while !j < n && is_digit line.[!j] do incr j done;
+      if c = 'T' && (i = 0 || not (is_word line.[i - 1])) && !j > i + 1
+         && !j + 1 < n && line.[!j] = '.' && is_digit line.[!j + 1]
+      then begin
+        Buffer.add_string b "T?";
+        go !j
+      end
+      else begin
+        Buffer.add_char b c;
+        go (i + 1)
+      end
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+(* Both logs are in virtual-time order, so sorting on (instant, line)
+   reorders lines only within an instant. *)
+let canonical ~instant text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l -> l <> "")
+  |> List.map (fun l -> (instant l, erase_tadd_assigners l))
+  |> List.sort compare
+  |> List.map (fun (_, l) -> l ^ "\n")
+  |> String.concat ""
+
+let canonical_trace = canonical ~instant:(fun l -> Scanf.sscanf l "[ %dus]" Fun.id)
+let canonical_spans = canonical ~instant:(fun l -> Scanf.sscanf l "{\"ts\":%d" Fun.id)
+
+let test_canonical_golden () =
+  let trace, _, _, _, spans = run_once 42 in
+  check_digest "run_once 42 trace" "b42e7ea0c28f03bf8c8e46c1de69d7b3" (canonical_trace trace);
+  check_digest "run_once 42 spans" "d217800bdec3bd104fafb2777cf80c33" (canonical_spans spans);
+  let trace, spans = run_hetero 42 in
+  check_digest "3-gateway hetero trace" "488972edd346205ba320d15e6c0ddd67" (canonical_trace trace);
+  check_digest "3-gateway hetero spans" "c2ac929a7143db275e40a4027be28a72" (canonical_spans spans);
+  let trace, spans = run_sharded 42 in
+  check_digest "sharded naming trace" "6981c936605cf691c26780d4cc20129f" (canonical_trace trace);
+  check_digest "sharded naming spans" "b5e6fac7499c24a040e38408b26d64dc" (canonical_spans spans);
+  let c = faulty_cluster 42 in
+  check_digest "faulty trace" "79c3618ad5bd92ff6ded329507828210"
+    (canonical_trace (Fmt.str "%a" Ntcs_sim.Trace.dump (Ntcs_sim.World.trace (Cluster.world c))));
+  check_digest "faulty spans" "ada0d8a052020975c09fa014816f968f"
+    (canonical_spans (Ntcs_obs.Export.spans_jsonl (Cluster.obs c)))
 
 (* One sample of every typed trace event and the text the Printf-based
    emitters wrote for it, captured from traces of the same exchanges
@@ -367,6 +434,7 @@ let () =
           Alcotest.test_case "different seed differs" `Quick test_seed_matters;
           Alcotest.test_case "R3 invariants hold" `Quick test_r3_invariants_hold;
           Alcotest.test_case "rendered telemetry digests" `Quick test_rendered_golden;
+          Alcotest.test_case "canonical telemetry digests" `Quick test_canonical_golden;
           Alcotest.test_case "typed event texts" `Quick test_typed_event_texts;
         ] );
     ]

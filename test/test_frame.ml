@@ -245,9 +245,17 @@ let test_pool_boundary_accounting () =
    scheduler, span log and trace between the two readings. On x86-64 with
    OCaml 5.1, the array-based header codec with Printf-rendered telemetry
    allocated 5,837 words per round trip on this path; the shift-and-mask
-   codec with concatenated, per-circuit cached details allocates about
-   2,620, which leaves the ceiling about 25% headroom. *)
+   codec with concatenated, per-circuit cached details allocated about
+   2,620, and the ceiling was set 25% above that. With frames delivered
+   by upcall the path allocates about 2,080. *)
 let round_trip_ceiling_words = 3_300.
+
+(* The same round trip in scheduler events, exactly: per direction, the
+   wire arrival on the gateway, its reader forwarding the frame, the
+   arrival at the far end, that circuit's reader delivering it, and the
+   receiver waking. A process that only relays a frame at the same
+   instant would add an event here. *)
+let round_trip_events = 10
 
 let test_round_trip_ceiling () =
   let c =
@@ -303,15 +311,18 @@ let test_round_trip_ceiling () =
            in
            for _ = 1 to warm do call () done;
            let w0 = Gc.minor_words () in
+           let e0 = Ntcs_sim.Sched.events_executed (Cluster.sched c) in
            for _ = 1 to window do call () done;
-           measured := Some ((Gc.minor_words () -. w0) /. float_of_int window)));
+           let events = Ntcs_sim.Sched.events_executed (Cluster.sched c) - e0 in
+           measured := Some ((Gc.minor_words () -. w0) /. float_of_int window, events)));
   Cluster.settle ~dt:60_000_000 c;
   match !measured with
   | None -> Alcotest.fail "round trips did not complete"
-  | Some per_op ->
+  | Some (per_op, events) ->
     if per_op > round_trip_ceiling_words then
       Alcotest.failf "%.0f minor words per round trip, ceiling %.0f" per_op
-        round_trip_ceiling_words
+        round_trip_ceiling_words;
+    Alcotest.(check int) "scheduler events per round trip" (round_trip_events * window) events
 
 let () =
   Alcotest.run "frame"
