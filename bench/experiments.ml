@@ -970,11 +970,10 @@ let obs_snapshot () =
    gateway decoded it (one payload copy), rebuilt the header record, and
    re-encoded header + payload into a fresh buffer (a second, larger
    copy). The view pipeline wraps the received bytes once and pokes two
-   header words in place. Both shapes are measured here on the host CPU
-   (micro), and the 3-gateway E7 chain is driven end to end so the
-   pipeline's own meters — frame.bytes_copied, pool.hits/misses — report
-   what the running system actually does (macro). The full run writes
-   BENCH_hotpath.json as the repo's first performance baseline. *)
+   header words in place. Both shapes are measured here on the host CPU,
+   beside the send path's buffer strategies and the unarmed race-hook
+   guard. End-to-end chains are perfbench's job (rpc_1gw, rpc_3gw_hetero).
+   The full run writes BENCH_hotpath.json. *)
 
 let hot_payload_len = 256
 
@@ -1010,99 +1009,6 @@ let minor_words_per ~n f =
     f ()
   done;
   (Gc.minor_words () -. w0) /. float_of_int n
-
-(* The parameterised E7 line: client on lan0, one echo server [hops]
-   gateways away. Returns the meters the macro table and the JSON need. *)
-type hot_chain_result = {
-  hc_hops : int;
-  hc_ok : int;
-  hc_frames_sent : int;
-  hc_forwards : int;
-  hc_copied_count : int;
-  hc_copied_sum : int;
-  hc_pool_hits : int;
-  hc_pool_misses : int;
-  hc_wall_s : float;
-  hc_minor_words_per_msg : float;
-}
-
-let hot_chain ~hops ~msgs ~force_packed () =
-  let nets =
-    List.init (hops + 1) (fun i -> (Printf.sprintf "lan%d" i, Ntcs_sim.Net.Tcp_lan))
-  in
-  let machines =
-    ("client-m", Ntcs_sim.Machine.Sun3, [ "lan0" ])
-    :: ("ns-m", Ntcs_sim.Machine.Vax, [ "lan0" ])
-    :: (Printf.sprintf "srv%d" hops, Ntcs_sim.Machine.Sun3, [ Printf.sprintf "lan%d" hops ])
-    :: List.init hops (fun i ->
-           ( Printf.sprintf "gwm%d" i,
-             Ntcs_sim.Machine.Sun3,
-             [ Printf.sprintf "lan%d" i; Printf.sprintf "lan%d" (i + 1) ] ))
-  in
-  let gateways =
-    List.init hops (fun i ->
-        ( Printf.sprintf "gw%d" i,
-          Printf.sprintf "gwm%d" i,
-          [ Printf.sprintf "lan%d" i; Printf.sprintf "lan%d" (i + 1) ] ))
-  in
-  let tweak cfg = if force_packed then { cfg with Node.force_packed = true } else cfg in
-  let c = Cluster.build ~seed:42 ~tweak ~nets ~machines ~gateways ~ns:"ns-m" () in
-  Cluster.settle c;
-  spawn_echo c ~machine:(Printf.sprintf "srv%d" hops) ~name:"far";
-  Cluster.settle ~dt:10_000_000 c;
-  let ok = ref 0 in
-  (* A structured payload, so [force_packed] actually changes the rendered
-     bytes (a raw payload would bypass conversion-mode selection). Image
-     size = hot_payload_len. *)
-  let layout =
-    List.init (hot_payload_len / 8) (fun _ -> Layout.F_i32)
-    @ [ Layout.F_char_array (hot_payload_len / 2) ]
-  in
-  let values =
-    List.map
-      (function
-        | Layout.F_i32 -> Layout.V_int 305419896
-        | Layout.F_char_array n -> Layout.V_str (String.make (n - 1) 'x')
-        | Layout.F_i8 | Layout.F_i16 | Layout.F_i64 -> Layout.V_int 0)
-      layout
-  in
-  let payload =
-    Convert.payload
-      ~image:(fun () -> Layout.encode ~order:Endian.Be layout values)
-      ~packed:(fun () -> Packed.run_pack (Packed.of_layout layout) values)
-  in
-  ignore
-    (Cluster.spawn c ~machine:"client-m" ~name:"client" (fun node ->
-         match Commod.bind node ~name:"client" with
-         | Error _ -> ()
-         | Ok commod -> (
-           match Ali_layer.locate commod "far" with
-           | Error _ -> ()
-           | Ok addr ->
-             for _ = 1 to msgs do
-               match Ali_layer.send_sync commod ~dst:addr ~timeout_us:30_000_000 payload with
-               | Ok _ -> incr ok
-               | Error _ -> ()
-             done)));
-  let t0 = Unix.gettimeofday () in
-  let w0 = Gc.minor_words () in
-  Cluster.settle ~dt:180_000_000 c;
-  let minor = Gc.minor_words () -. w0 in
-  let wall = Unix.gettimeofday () -. t0 in
-  let r = Cluster.obs c in
-  let copied = Ntcs_obs.Registry.histo r "frame.bytes_copied" in
-  {
-    hc_hops = hops;
-    hc_ok = !ok;
-    hc_frames_sent = Ntcs_obs.Registry.get r "nd.frames_sent";
-    hc_forwards = Ntcs_obs.Registry.get r "gw.forwards";
-    hc_copied_count = Ntcs_obs.Histo.count copied;
-    hc_copied_sum = Ntcs_obs.Histo.sum copied;
-    hc_pool_hits = Ntcs_obs.Registry.get r "pool.hits";
-    hc_pool_misses = Ntcs_obs.Registry.get r "pool.misses";
-    hc_wall_s = wall;
-    hc_minor_words_per_msg = (if !ok > 0 then minor /. float_of_int !ok else minor);
-  }
 
 let hot_path ~smoke () =
   Bench_util.header
@@ -1203,73 +1109,9 @@ let hot_path ~smoke () =
         Printf.sprintf "%.1f" race_unarmed_words ];
     ];
 
-  (* --- macro: drive the chain and read the pipeline's own meters --- *)
-  let msgs = if smoke then 5 else 40 in
-  let chains =
-    if smoke then [ hot_chain ~hops:1 ~msgs ~force_packed:false () ]
-    else
-      [
-        hot_chain ~hops:1 ~msgs ~force_packed:false ();
-        hot_chain ~hops:3 ~msgs ~force_packed:false ();
-      ]
-  in
-  let pct a b = if a + b = 0 then "n/a" else Printf.sprintf "%.1f%%" (100. *. float_of_int a /. float_of_int (a + b)) in
-  Bench_util.table
-    ~columns:
-      [ "gateway hops"; "calls ok"; "frames sent"; "gw forwards"; "bytes copied (sum)";
-        "copied/forward"; "pool hit rate"; "msgs/host-s"; "minor words/msg" ]
-    (List.map
-       (fun r ->
-         [
-           string_of_int r.hc_hops;
-           string_of_int r.hc_ok;
-           string_of_int r.hc_frames_sent;
-           string_of_int r.hc_forwards;
-           string_of_int r.hc_copied_sum;
-           (if r.hc_forwards = 0 then "n/a"
-            else Printf.sprintf "%.1f" (float_of_int r.hc_copied_sum /. float_of_int r.hc_forwards));
-           pct r.hc_pool_hits r.hc_pool_misses;
-           (if r.hc_wall_s > 0. then Printf.sprintf "%.0f" (float_of_int r.hc_ok /. r.hc_wall_s)
-            else "n/a");
-           Printf.sprintf "%.0f" r.hc_minor_words_per_msg;
-         ])
-       chains);
-  Printf.printf
-    "\n  (bytes copied counts every histogram observation on the frame path;\n\
-    \   forwarded frames observe 0 — the sum is send-side materialisation only)\n";
-
-  (* --- modes: image vs forced packed over one gateway --- *)
-  let modes =
-    if smoke then []
-    else
-      [
-        ("image", hot_chain ~hops:1 ~msgs ~force_packed:false ());
-        ("packed (forced)", hot_chain ~hops:1 ~msgs ~force_packed:true ());
-      ]
-  in
-  if modes <> [] then
-    Bench_util.table
-      ~columns:[ "conversion mode"; "calls ok"; "bytes copied (sum)"; "minor words/msg" ]
-      (List.map
-         (fun (label, r) ->
-           [
-             label; string_of_int r.hc_ok; string_of_int r.hc_copied_sum;
-             Printf.sprintf "%.0f" r.hc_minor_words_per_msg;
-           ])
-         modes);
-
   (* --- artifact --- *)
   if not smoke then begin
     let b = Buffer.create 2048 in
-    let chain_json r =
-      Printf.sprintf
-        "{\"hops\":%d,\"calls_ok\":%d,\"frames_sent\":%d,\"gw_forwards\":%d,\
-         \"bytes_copied_sum\":%d,\"bytes_copied_count\":%d,\"pool_hits\":%d,\
-         \"pool_misses\":%d,\"wall_s\":%.3f,\"minor_words_per_msg\":%.0f}"
-        r.hc_hops r.hc_ok r.hc_frames_sent r.hc_forwards r.hc_copied_sum
-        r.hc_copied_count r.hc_pool_hits r.hc_pool_misses r.hc_wall_s
-        r.hc_minor_words_per_msg
-    in
     Buffer.add_string b "{\n  \"schema\": \"ntcs.bench.hotpath/1\",\n";
     Buffer.add_string b
       (Printf.sprintf "  \"payload_bytes\": %d,\n  \"header_bytes\": %d,\n"
@@ -1292,23 +1134,11 @@ let hot_path ~smoke () =
          \    \"sanitized_minor_words_per_send\": %.1f,\n\
          \    \"race_unarmed_ns_per_send\": %.0f,\n\
          \    \"race_unarmed_minor_words_per_send\": %.1f\n\
-         \  },\n"
+         \  }\n}\n"
          legacy_copied view_copied (legacy_copied / max 1 view_copied)
          legacy_ns view_ns legacy_words view_words fresh_words pooled_words
          fresh_ns pooled_ns sanitized_ns sanitized_words race_unarmed_ns
          race_unarmed_words);
-    Buffer.add_string b "  \"chains\": [\n    ";
-    Buffer.add_string b (String.concat ",\n    " (List.map chain_json chains));
-    Buffer.add_string b "\n  ],\n  \"modes\": {\n    ";
-    Buffer.add_string b
-      (String.concat ",\n    "
-         (List.map
-            (fun (label, r) ->
-              Printf.sprintf "\"%s\": %s"
-                (if label = "image" then "image" else "packed")
-                (chain_json r))
-            modes));
-    Buffer.add_string b "\n  }\n}\n";
     let path = "BENCH_hotpath.json" in
     let oc = open_out path in
     Buffer.output_buffer oc b;

@@ -11,6 +11,18 @@ type edge = {
   e_via : string;  (** "reference" or the installer pattern *)
 }
 
+(** {1 Lexical helpers} (shared with [Check_proto]) *)
+
+val depth_delta : string -> int
+(** Net bracket-depth change across one blanked line. *)
+
+val is_ml : Lint_lex.source -> bool
+
+val module_of : Lint_lex.source -> string
+(** The module a source file defines, from its basename. *)
+
+(** {1 The graph} *)
+
 val graph : Lint_lex.source list -> edge list
 (** Direct head-of-path reference edges plus hook edges: installing a
     callback into module [S] gives [S] an edge to the installing module and

@@ -26,18 +26,6 @@ let starts_with_bar line =
   let l = trimmed line in
   String.length l > 0 && l.[0] = '|'
 
-(* Net depth change of brackets on a blanked line. *)
-let depth_delta line =
-  let d = ref 0 in
-  String.iter
-    (fun c ->
-      match c with
-      | '{' | '(' | '[' -> incr d
-      | '}' | ')' | ']' -> decr d
-      | _ -> ())
-    line;
-  !d
-
 let ident_at line i =
   let n = String.length line in
   let j = ref i in
@@ -78,21 +66,21 @@ let constructors (src : Lint_lex.source) ~ty =
     let rec collect acc depth lineno = function
       | [] -> List.rev acc
       | line :: rest ->
-        if depth > 0 then collect acc (depth + depth_delta line) (lineno + 1) rest
+        if depth > 0 then collect acc (depth + Check_graph.depth_delta line) (lineno + 1) rest
         else if starts_with_bar line then begin
           let acc =
             match arm_constructor line with
             | Some c -> (lineno, c) :: acc
             | None -> acc
           in
-          collect acc (depth + depth_delta line) (lineno + 1) rest
+          collect acc (depth + Check_graph.depth_delta line) (lineno + 1) rest
         end
         else if trimmed line = "" then collect acc depth (lineno + 1) rest
         else List.rev acc
     in
     let rest = List.filteri (fun i _ -> i > idx) ls in
     let first = List.nth ls idx in
-    collect [] (depth_delta first) (idx + 2) rest
+    collect [] (Check_graph.depth_delta first) (idx + 2) rest
 
 (* --- declaration conformance --- *)
 
@@ -161,20 +149,16 @@ let anchor src tokens =
   in
   go 1 ls
 
-let is_ml src = Filename.check_suffix src.Lint_lex.src_file ".ml"
-
-let module_of src = Lint_rules.module_of_file src.Lint_lex.src_file
-
 (* Proto.kind dispatch: every module the automaton table names must carry
    an arm for every constructor assigned to it. *)
 let check_kind_dispatch src =
-  let m = module_of src in
+  let m = Check_graph.module_of src in
   let required =
     List.filter_map
       (fun (k, input, handlers) -> if List.mem m handlers then Some (k, input) else None)
       Check_auto.kinds
   in
-  if required = [] || not (is_ml src) then []
+  if required = [] || not (Check_graph.is_ml src) then []
   else begin
     let pragmas, _ = Lint_lex.pragmas src in
     let all_tokens = List.map (fun (k, _) -> "Proto." ^ k) required in
@@ -195,8 +179,8 @@ let check_kind_dispatch src =
 
 (* Gateway event dispatch: Gw_open / Gw_frame / Gw_down. *)
 let check_gw_dispatch src =
-  let m = module_of src in
-  if not (List.mem m Check_auto.gw_modules) || not (is_ml src) then []
+  let m = Check_graph.module_of src in
+  if not (List.mem m Check_auto.gw_modules) || not (Check_graph.is_ml src) then []
   else begin
     let anchor_line = anchor src Check_auto.gw_events in
     List.filter_map
@@ -212,8 +196,8 @@ let check_gw_dispatch src =
 (* Naming-protocol discipline. The server dispatches every request; every
    issuer of a request dispatches its response and R_error. *)
 let check_ns_discipline src =
-  let m = module_of src in
-  if m = "Ns_proto" || not (is_ml src) then []
+  let m = Check_graph.module_of src in
+  if m = "Ns_proto" || not (Check_graph.is_ml src) then []
   else begin
     let is_server = List.mem m Check_auto.ns_servers in
     let issued =
@@ -258,9 +242,10 @@ let check_ns_discipline src =
 
 let check_source src =
   let decls =
-    match module_of src with
-    | "Proto" when is_ml src -> check_decl src ~ty:"kind" ~declared:Check_auto.kind_names
-    | "Ns_proto" when is_ml src ->
+    match Check_graph.module_of src with
+    | "Proto" when Check_graph.is_ml src ->
+      check_decl src ~ty:"kind" ~declared:Check_auto.kind_names
+    | "Ns_proto" when Check_graph.is_ml src ->
       check_decl src ~ty:"request" ~declared:(List.map fst Check_auto.ns_requests)
       @ check_decl src ~ty:"response" ~declared:Check_auto.ns_responses
     | _ -> []

@@ -42,8 +42,6 @@ let nsp_exn t =
 
 let my_addr t = Nd_layer.my_addr t.nd
 
-let is_registered t = t.registered <> None
-
 let resolver_of_nsp nsp =
   {
     Router.rv_resolve = (fun addr -> Nsp_layer.resolve nsp addr);
@@ -68,11 +66,19 @@ let assemble node ~name ?allowed_nets ?fixed ~resolver_of () =
   let t =
     { node; nd; ip; lcm; nsp; resolver; name; registered = None; closed = false }
   in
-  (* Module death must close its channels so peers' ND-layers detect it. *)
-  Sched.on_exit (Node.sched node) (Sched.self (Node.sched node)) (fun _ ->
+  (* Module death must close its channels so peers' ND-layers detect it,
+     and give every open circuit span its E event: "crashed" when the owner
+     raised or was killed (its machine went down) with the module open,
+     "shutdown" when it returned. The span invariant — every opened circuit
+     closed or marked crashed — rests on this one hook. *)
+  Sched.on_exit (Node.sched node) (Sched.self (Node.sched node)) (fun status ->
       if not t.closed then begin
         t.closed <- true;
         Lcm_layer.shutdown lcm
+          ~reason:
+            (match status with
+             | Sched.Exited -> "shutdown"
+             | Sched.Crashed _ | Sched.Was_killed -> "crashed")
       end);
   t
 
@@ -127,5 +133,5 @@ let close t =
     (match (t.registered, t.nsp) with
      | Some addr, Some nsp -> ignore (Nsp_layer.deregister nsp addr)
      | _ -> ());
-    Lcm_layer.shutdown t.lcm
+    Lcm_layer.shutdown t.lcm ~reason:"shutdown"
   end

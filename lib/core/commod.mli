@@ -28,7 +28,9 @@ val bind :
   name:string ->
   (t, Errors.t) result
 (** Assemble and (unless [register_name:false]) register. Must run inside
-    the owning process; module death automatically aborts its circuits. *)
+    the owning process; module death automatically aborts its circuits and
+    ends their spans ["crashed"] if the owner raised or was killed with the
+    module open, ["shutdown"] if it returned. *)
 
 val bind_with_resolver :
   ?allowed_nets:Net.id list ->
@@ -59,7 +61,5 @@ val nsp_exn : t -> Nsp_layer.t
 
 val my_addr : t -> Addr.t
 (** Current self-address: a TAdd before registration, the UAdd after. *)
-
-val is_registered : t -> bool
 
 val resolver_of_nsp : Nsp_layer.t -> Router.resolver

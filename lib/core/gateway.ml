@@ -23,7 +23,6 @@ open Ntcs_ipcs
 
 type leg = {
   lg_net : Net.id;
-  lg_commod : Commod.t;
   lg_circuit : Nd_layer.circuit;
   lg_label : int;
   lg_route : Trace_event.route; (* traced by gw.splice, gw.forward and gw.close *)
@@ -34,10 +33,9 @@ type leg = {
 (* The leg a frame arriving on ([in_net], [in_label]) leaves by. The route
    and its span text are fixed for the splice's life, so they are built
    once here rather than on every forwarded frame. *)
-let make_leg ~in_net ~in_label ~net ~commod ~circuit ~label ~dst =
+let make_leg ~in_net ~in_label ~net ~circuit ~label ~dst =
   {
     lg_net = net;
-    lg_commod = commod;
     lg_circuit = circuit;
     lg_label = label;
     lg_route = { Trace_event.in_net; in_label; out_net = net; out_label = label };
@@ -76,21 +74,16 @@ let spans_csv t = String.concat "," (List.map string_of_int t.nets)
 let leg_key (net : Net.id) (circuit : Nd_layer.circuit) label =
   (net, circuit.Nd_layer.cid, label)
 
-let send_reject commod circuit ~(h : Proto.header) reason =
-  let reject =
-    Proto.make_header ~kind:Proto.Ivc_reject ~src:(Nd_layer.my_addr (Commod.nd commod))
-      ~dst:h.Proto.src ~ivc:h.Proto.ivc ~payload_len:0 ()
-  in
-  ignore
-    (Nd_layer.send_frame circuit reject
-       (Ntcs_wire.Packed.run_pack Proto.reason_codec reason))
-
 (* Establish the next leg of a chained IVC and splice it to the inbound one.
    Runs in its own worker process: it performs naming-service lookups and a
    blocking channel open, and the gateway must keep forwarding meanwhile. *)
 let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto.header)
     (req : Proto.ivc_open) =
   let in_key = leg_key in_net in_circuit h.Proto.ivc in
+  let reject reason =
+    Nd_layer.send_control in_circuit ~kind:Proto.Ivc_reject ~dst:h.Proto.src ~ivc:h.Proto.ivc
+      reason
+  in
   if Hashtbl.mem t.splices in_key then begin
     (* Duplicated IVC_OPEN (the fault plane can replay control frames): the
        splice already exists and the original open already answered —
@@ -106,7 +99,7 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
     (* The 8-bit hop field is full: a route this deep is a loop (E7), and
        encoding hops+1 would be rejected rather than silently wrapped. *)
     Ntcs_obs.Registry.incr (obs t) "gw.hop_overflow";
-    send_reject in_commod in_circuit ~h "hop limit exceeded"
+    reject "hop limit exceeded"
   end
   else begin
   let target =
@@ -116,7 +109,7 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
   match Router.locate t.node resolver target with
   | Error e ->
     Ntcs_obs.Registry.incr (obs t) "gw.open_failures";
-    send_reject in_commod in_circuit ~h (Errors.to_string e)
+    reject (Errors.to_string e)
   | Ok (phys_candidates, target_nets) -> (
     (* Pick the outbound ComMod: one of ours attached to a network the
        target is on. *)
@@ -126,27 +119,12 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
     match out with
     | None ->
       Ntcs_obs.Registry.incr (obs t) "gw.open_failures";
-      send_reject in_commod in_circuit ~h "no outbound network"
+      reject "no outbound network"
     | Some (out_net, out_commod) -> (
-      let out_nd = Commod.nd out_commod in
-      let circuit_result =
-        match Nd_layer.find_circuit out_nd target with
-        | Some c -> Ok c
-        | None ->
-          let rec try_phys = function
-            | [] -> Error Errors.Unreachable
-            | phys :: rest -> (
-              match Nd_layer.open_circuit out_nd ~phys with
-              | Ok c -> Ok c
-              | Error _ when rest <> [] -> try_phys rest
-              | Error _ as e -> e)
-          in
-          try_phys phys_candidates
-      in
-      match circuit_result with
+      match Nd_layer.circuit_to (Commod.nd out_commod) target ~phys_candidates with
       | Error e ->
         Ntcs_obs.Registry.incr (obs t) "gw.open_failures";
-        send_reject in_commod in_circuit ~h (Errors.to_string e)
+        reject (Errors.to_string e)
       | Ok out_circuit ->
         if Hashtbl.mem t.splices in_key then begin
           (* A worker for a replayed copy of this open won the race while we
@@ -160,14 +138,14 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
           let out_label = Registry.fresh_label t.node.Node.ipcs in
           let dst = req.Proto.final_dst in
           let out_leg =
-            make_leg ~in_net ~in_label:h.Proto.ivc ~net:out_net ~commod:out_commod
-              ~circuit:out_circuit ~label:out_label ~dst
+            make_leg ~in_net ~in_label:h.Proto.ivc ~net:out_net ~circuit:out_circuit
+              ~label:out_label ~dst
           in
           Hashtbl.replace t.splices in_key out_leg;
           Hashtbl.replace t.splices
             (leg_key out_net out_circuit out_label)
-            (make_leg ~in_net:out_net ~in_label:out_label ~net:in_net ~commod:in_commod
-               ~circuit:in_circuit ~label:h.Proto.ivc ~dst);
+            (make_leg ~in_net:out_net ~in_label:out_label ~net:in_net ~circuit:in_circuit
+               ~label:h.Proto.ivc ~dst);
           let body =
             Ntcs_wire.Packed.run_pack Proto.ivc_open_codec
               { req with Proto.route = (match req.Proto.route with [] -> [] | _ :: r -> r) }
@@ -182,7 +160,7 @@ let handle_open t (in_net : Net.id) (in_commod : Commod.t) in_circuit (h : Proto
           | Error e ->
             Hashtbl.remove t.splices in_key;
             Hashtbl.remove t.splices (leg_key out_net out_circuit out_label);
-            send_reject in_commod in_circuit ~h (Errors.to_string e)
+            reject (Errors.to_string e)
         end))
   end
   end
@@ -258,14 +236,8 @@ let handle_frame t (net : Net.id) circuit (view : Proto.Frame.t) =
        | Error _ ->
          (* Outbound leg just died: tear the chain down toward the inbound
             side. The reader on the dead leg will handle the other side. *)
-         let close =
-           Proto.make_header ~kind:Proto.Ivc_close
-             ~src:(Nd_layer.my_addr (Commod.nd out.lg_commod))
-             ~dst:h.Proto.src ~ivc:h.Proto.ivc ~payload_len:0 ()
-         in
-         ignore
-           (Nd_layer.send_frame circuit close
-              (Ntcs_wire.Packed.run_pack Proto.reason_codec "leg failed"));
+         Nd_layer.send_control circuit ~kind:Proto.Ivc_close ~dst:h.Proto.src ~ivc:h.Proto.ivc
+           "leg failed";
          remove_splice_pair t key out);
       if h.Proto.kind = Proto.Ivc_close then remove_splice_pair t key out
     end
@@ -281,15 +253,11 @@ let handle_down t (net : Net.id) circuit =
   in
   List.iter
     (fun (key, (out : leg)) ->
-      let close =
-        Proto.make_header ~kind:Proto.Ivc_close
-          ~src:(Nd_layer.my_addr (Commod.nd out.lg_commod))
-          ~dst:(Nd_layer.my_addr (Commod.nd out.lg_commod)) (* matched by label, not address *)
-          ~ivc:out.lg_label ~payload_len:0 ()
-      in
-      ignore
-        (Nd_layer.send_frame out.lg_circuit close
-           (Ntcs_wire.Packed.run_pack Proto.reason_codec "upstream circuit failed"));
+      (* Matched by label, not address: the end module's address is not
+         known here. *)
+      Nd_layer.send_control out.lg_circuit ~kind:Proto.Ivc_close
+        ~dst:(Nd_layer.my_addr out.lg_circuit.Nd_layer.nd) ~ivc:out.lg_label
+        "upstream circuit failed";
       Ntcs_obs.Registry.incr (obs t) "gw.cascade_closes";
       remove_splice_pair t key out)
     affected

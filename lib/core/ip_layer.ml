@@ -29,7 +29,6 @@ type ivc = {
   mutable wire_dst : Addr.t; (* what the remote end calls itself: the frame dst *)
   mutable remote_order : Endian.order;
   mutable remote_listen : Phys_addr.t list;
-  inbound : bool;
   mutable i_open : bool;
   mutable last_mode : Convert.mode option; (* last conversion mode traced (ip.convert) *)
 }
@@ -107,77 +106,42 @@ let unregister_ivc t ivc =
    | Some _ | None -> ());
   if ivc.label <> 0 then Hashtbl.remove t.by_leg (ivc.circuit.Nd_layer.cid, ivc.label)
 
+(* A direct IVC is the ND circuit itself (label 0): the peer's address,
+   byte order and listening addresses are what its HELLO announced. *)
+let direct_ivc t circuit =
+  let ivc =
+    {
+      label = 0;
+      circuit;
+      peer = circuit.Nd_layer.peer_addr;
+      wire_dst = circuit.Nd_layer.peer_announced;
+      remote_order = circuit.Nd_layer.peer_order;
+      remote_listen = circuit.Nd_layer.peer_listen;
+      i_open = true;
+      last_mode = None;
+    }
+  in
+  register_ivc t ivc;
+  ivc
+
 let find_ivc t peer =
   let peer = Nd_layer.resolve_alias t.nd peer in
   match Hashtbl.find_opt t.by_peer peer with
   | Some ivc when ivc.i_open && ivc.circuit.Nd_layer.c_open -> Some ivc
-  | Some _ | None -> (
+  | Some _ | None ->
     (* Circuits are bidirectional: a peer that opened an LVC to us is
        directly reachable over it (this is how replies to not-yet-resolvable
        sources — e.g. TAdd clients of the name server — find their way). *)
-    match Nd_layer.find_circuit t.nd peer with
-    | Some circuit ->
-      let ivc =
-        {
-          label = 0;
-          circuit;
-          peer = circuit.Nd_layer.peer_addr;
-          wire_dst = circuit.Nd_layer.peer_announced;
-          remote_order = circuit.Nd_layer.peer_order;
-          remote_listen = circuit.Nd_layer.peer_listen;
-          inbound = true;
-          i_open = true;
-          last_mode = None;
-        }
-      in
-      register_ivc t ivc;
-      Some ivc
-    | None -> None)
-
-(* Establish — or reuse — the LVC to a neighbour (final dst or first
-   gateway). Gateways are shared: many IVCs multiplex over one LVC. *)
-let neighbour_circuit t ~(addr : Addr.t option) ~(phys_candidates : Phys_addr.t list) =
-  let existing =
-    match addr with Some a -> Nd_layer.find_circuit t.nd a | None -> None
-  in
-  match existing with
-  | Some c -> Ok c
-  | None ->
-    let rec try_phys = function
-      | [] -> Error Errors.Unreachable
-      | phys :: rest -> (
-        match Nd_layer.open_circuit t.nd ~phys with
-        | Ok c -> Ok c
-        | Error _ when rest <> [] -> try_phys rest
-        | Error _ as e -> e)
-    in
-    try_phys phys_candidates
+    Option.map (direct_ivc t) (Nd_layer.find_circuit t.nd peer)
 
 let open_direct t ~dst ~phys_candidates =
-  match neighbour_circuit t ~addr:(Some dst) ~phys_candidates with
-  | Error _ as e -> e
-  | Ok circuit ->
-    let ivc =
-      {
-        label = 0;
-        circuit;
-        peer = circuit.Nd_layer.peer_addr;
-        wire_dst = circuit.Nd_layer.peer_announced;
-        remote_order = circuit.Nd_layer.peer_order;
-        remote_listen = circuit.Nd_layer.peer_listen;
-        inbound = false;
-        i_open = true;
-        last_mode = None;
-      }
-    in
-    register_ivc t ivc;
-    Ok ivc
+  Result.map (direct_ivc t) (Nd_layer.circuit_to t.nd dst ~phys_candidates)
 
 let open_chained t ~dst ~hops ~first_phys =
   match hops with
   | [] -> Error (Errors.Internal "empty gateway route")
   | first_gw :: rest ->
-    (match neighbour_circuit t ~addr:(Some first_gw) ~phys_candidates:first_phys with
+    (match Nd_layer.circuit_to t.nd first_gw ~phys_candidates:first_phys with
      | Error _ as e -> e
      | Ok circuit ->
        let label = Registry.fresh_label t.node.Node.ipcs in
@@ -216,7 +180,6 @@ let open_chained t ~dst ~hops ~first_phys =
                 wire_dst = hello.Proto.h_addr;
                 remote_order = hello.Proto.h_order;
                 remote_listen = List.filter_map Phys_addr.of_string hello.Proto.h_listen;
-                inbound = false;
                 i_open = true;
                 last_mode = None;
               }
@@ -320,24 +283,6 @@ let send t ivc ~kind ?(seq = 0) ?(conv = 0) ?(app_tag = 0) ?(span = Ntcs_obs.Spa
     Nd_layer.send_frame ivc.circuit header data
   end
 
-let close_ivc t ivc ~reason =
-  if ivc.i_open then begin
-    ivc.i_open <- false;
-    if ivc.label <> 0 then
-      event t
-        (Trace_event.Ip_ivc_close
-           { label = ivc.label; peer = ivc.peer; side = Trace_event.Local reason });
-    if ivc.label <> 0 && ivc.circuit.Nd_layer.c_open then begin
-      let header =
-        Proto.make_header ~kind:Proto.Ivc_close ~src:(Nd_layer.my_addr t.nd) ~dst:ivc.peer
-          ~ivc:ivc.label ~payload_len:0 ()
-      in
-      ignore (Nd_layer.send_frame ivc.circuit header (Packed.run_pack Proto.reason_codec reason))
-    end
-    else if ivc.label = 0 then Nd_layer.close_circuit ivc.circuit;
-    unregister_ivc t ivc
-  end
-
 (* --- incoming traffic --- *)
 
 (* The final destination's half of IVC establishment. *)
@@ -359,7 +304,6 @@ let accept_chained_fresh t circuit (h : Proto.header) (req : Proto.ivc_open) =
       remote_order = req.Proto.origin_hello.Proto.h_order;
       remote_listen =
         List.filter_map Phys_addr.of_string req.Proto.origin_hello.Proto.h_listen;
-      inbound = true;
       i_open = true;
       last_mode = None;
     }
@@ -445,21 +389,20 @@ let handle_event t (ev : Nd_layer.event) =
     (* Cascade teardown (§4.3) is matched by leg label before any address
        check: the gateway that lost a leg cannot know the end module's
        current address, only the label of the circuit being torn down. *)
-    if h.Proto.kind = Proto.Ivc_close
-       && Hashtbl.mem t.by_leg (circuit.Nd_layer.cid, h.Proto.ivc)
-    then begin
-      match Hashtbl.find_opt t.by_leg (circuit.Nd_layer.cid, h.Proto.ivc) with
-      | None -> Consumed
-      | Some ivc ->
-        ivc.i_open <- false;
-        unregister_ivc t ivc;
-        Ntcs_obs.Registry.incr (obs t) "ip.ivc_closed_remote";
-        event t
-          (Trace_event.Ip_ivc_close
-             { label = ivc.label; peer = ivc.peer; side = Trace_event.Remote });
-        Down [ ivc.peer ]
-    end
-    else if Nd_layer.is_me t.nd h.Proto.dst then begin
+    let closing =
+      if h.Proto.kind = Proto.Ivc_close then
+        Hashtbl.find_opt t.by_leg (circuit.Nd_layer.cid, h.Proto.ivc)
+      else None
+    in
+    match closing with
+    | Some ivc ->
+      ivc.i_open <- false;
+      unregister_ivc t ivc;
+      Ntcs_obs.Registry.incr (obs t) "ip.ivc_closed_remote";
+      event t
+        (Trace_event.Ip_ivc_close { label = ivc.label; peer = ivc.peer; side = Trace_event.Remote });
+      Down [ ivc.peer ]
+    | None when Nd_layer.is_me t.nd h.Proto.dst -> begin
       match h.Proto.kind with
       | Proto.Ivc_open -> (
         match Packed.run_unpack_result Proto.ivc_open_codec (materialise t view) with
@@ -479,13 +422,8 @@ let handle_event t (ev : Nd_layer.event) =
               handler (Gw_open (circuit, h, req));
               Consumed
             | None ->
-              let reject =
-                Proto.make_header ~kind:Proto.Ivc_reject ~src:(Nd_layer.my_addr t.nd)
-                  ~dst:h.Proto.src ~ivc:h.Proto.ivc ~payload_len:0 ()
-              in
-              ignore
-                (Nd_layer.send_frame circuit reject
-                   (Packed.run_pack Proto.reason_codec "not a gateway"));
+              Nd_layer.send_control circuit ~kind:Proto.Ivc_reject ~dst:h.Proto.src
+                ~ivc:h.Proto.ivc "not a gateway";
               Consumed
           end)
       | Proto.Ivc_accept -> (
@@ -506,23 +444,13 @@ let handle_event t (ev : Nd_layer.event) =
           event t (Trace_event.Ip_ivc_reject { label = h.Proto.ivc });
           ignore (Sched.Ivar.try_fill ivar (Error Errors.Unreachable));
           Consumed)
-      | Proto.Ivc_close -> (
-        match Hashtbl.find_opt t.by_leg (circuit.Nd_layer.cid, h.Proto.ivc) with
-        | None -> Consumed
-        | Some ivc ->
-          ivc.i_open <- false;
-          unregister_ivc t ivc;
-          Ntcs_obs.Registry.incr (obs t) "ip.ivc_closed_remote";
-          event t
-            (Trace_event.Ip_ivc_close
-               { label = ivc.label; peer = ivc.peer; side = Trace_event.Remote });
-          Down [ ivc.peer ])
-      | Proto.Hello | Proto.Hello_ack -> Consumed (* handshake residue; ignore *)
+      | Proto.Ivc_close (* of no leg of ours: handled above if it were *)
+      | Proto.Hello | Proto.Hello_ack (* handshake residue *) -> Consumed
       | Proto.Data | Proto.Dgram | Proto.Reply | Proto.Ping | Proto.Pong ->
         let src = presented_src t circuit h in
         Deliver { del_src = src; del_hdr = h; del_payload = materialise t view }
     end
-    else begin
+    | None -> (
       (* Not addressed to this module: gateway forwarding, or noise. The
          view travels whole — the gateway patches its header words in place
          and forwards without touching the payload. *)
@@ -532,14 +460,21 @@ let handle_event t (ev : Nd_layer.event) =
         Consumed
       | None ->
         Ntcs_obs.Registry.incr (obs t) "ip.misaddressed";
-        Consumed
-    end
+        Consumed)
 
 (* Drop connection state for a peer (used by the LCM after relocation: the
    new instance needs a fresh circuit, §3.5). *)
 let forget_peer t peer =
   match Hashtbl.find_opt t.by_peer peer with
-  | None -> ()
-  | Some ivc -> close_ivc t ivc ~reason:"forget"
-
-let open_ivc_count t = Hashtbl.length t.by_peer
+  | Some ivc when ivc.i_open ->
+    ivc.i_open <- false;
+    if ivc.label = 0 then Nd_layer.close_circuit ivc.circuit
+    else begin
+      event t
+        (Trace_event.Ip_ivc_close
+           { label = ivc.label; peer = ivc.peer; side = Trace_event.Local "forget" });
+      Nd_layer.send_control ivc.circuit ~kind:Proto.Ivc_close ~dst:ivc.peer ~ivc:ivc.label
+        "forget"
+    end;
+    unregister_ivc t ivc
+  | Some _ | None -> ()

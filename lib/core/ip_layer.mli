@@ -23,7 +23,6 @@ type ivc = {
   mutable wire_dst : Addr.t;  (** what the remote end calls itself *)
   mutable remote_order : Endian.order;
   mutable remote_listen : Phys_addr.t list;
-  inbound : bool;
   mutable i_open : bool;
   mutable last_mode : Convert.mode option;
       (** last conversion mode traced on this IVC (mode-transition events) *)
@@ -93,14 +92,11 @@ val send :
     the payload once, frame and transmit. [span] (default [Span.none]) is
     the causal identity stamped into the header. *)
 
-val close_ivc : t -> ivc -> reason:string -> unit
-(** Close; a chained circuit sends IVC_CLOSE down the chain (§4.3). *)
-
 val handle_event : t -> Nd_layer.event -> action
 (** Every ND event passes through here first: the LCM's delivery upcall
     calls it inside the circuit's reader. *)
 
 val forget_peer : t -> Addr.t -> unit
-(** Drop connection state so the next send reopens (relocation, §3.5). *)
-
-val open_ivc_count : t -> int
+(** Drop connection state so the next send reopens (relocation, §3.5): a
+    direct IVC closes its circuit, a chained one sends IVC_CLOSE down the
+    chain (§4.3). *)

@@ -62,7 +62,6 @@ type t = {
   (* §3.5 reconfiguration hook: fires when the address-fault handler learns
      a relocation and patches the forwarding table — the NSP-layer listens
      to invalidate/splice its lookup caches (DESIGN.md §15). *)
-  mutable running : bool;
   mutable deepest : int; (* recursion high-water mark already traced *)
   counters : counters;
 }
@@ -470,11 +469,6 @@ let recv ?timeout_us ?app_tag t =
        | Error _ -> ());
       result)
 
-let try_recv t =
-  match take_stashed t (fun _ -> true) with
-  | Some env -> Some env
-  | None -> Sched.Mailbox.recv_opt t.app_inbox
-
 (* --- delivery, by upcall from the circuit readers --- *)
 
 let envelope_of t (d : Ip_layer.delivery) kind =
@@ -599,7 +593,6 @@ let create node nd ip =
       next_seq = 1;
       monitor_suppress = false;
       on_relocate = None;
-      running = true;
       deepest = 0;
       counters =
         {
@@ -613,23 +606,10 @@ let create node nd ip =
     }
   in
   Nd_layer.set_deliver nd (deliver t);
-  (* However this ComMod dies, its open circuit spans get their E event:
-     "shutdown" on a clean stop, "crashed" when the machine went down under
-     us (the fault plane killing the owner while we were running) or the
-     owner itself raised. The span invariant — every opened circuit closed
-     or marked crashed — rests on this hook. *)
-  let sched = Node.sched node in
-  Sched.on_exit sched (Sched.self sched) (fun status ->
-      match status with
-      | Sched.Crashed _ -> close_all_circuits t ~reason:"crashed"
-      | Sched.Was_killed ->
-        close_all_circuits t ~reason:(if t.running then "crashed" else "shutdown")
-      | Sched.Exited -> close_all_circuits t ~reason:"shutdown");
   t
 
-let shutdown t =
-  t.running <- false;
-  close_all_circuits t ~reason:"shutdown";
+let shutdown t ~reason =
+  close_all_circuits t ~reason;
   Nd_layer.shutdown t.nd
 
 (* Run [f] with monitor reporting suppressed: how the DRTS services send
@@ -641,7 +621,6 @@ let without_monitoring t f =
   Fun.protect ~finally:(fun () -> t.monitor_suppress <- saved) f
 
 let recursion_tracker t = t.track
-let forwarding_entries t = Hashtbl.length t.forwarding
 
 type stats = {
   st_sent : int;  (* successful sends, sync included *)

@@ -36,10 +36,12 @@ type envelope = Std_if.envelope = {
 type t
 
 val create : Node.t -> Nd_layer.t -> Ip_layer.t -> t
-(** Installs the ND delivery upcall. Call from the owning process: its exit
-    closes this ComMod's circuit spans. *)
+(** Installs the ND delivery upcall. *)
 
-val shutdown : t -> unit
+val shutdown : t -> reason:string -> unit
+(** End every open circuit span with [reason] (["shutdown"], or
+    ["crashed"] when the owner died with the module open), then shut the
+    ND-layer down. *)
 
 val set_fault_oracle : t -> (Addr.t -> (Addr.t option, Errors.t) result) -> unit
 (** The NSP forwarding query ([Some] = replacement, [None] = still alive). *)
@@ -107,8 +109,6 @@ val recv : ?timeout_us:int -> ?app_tag:int -> t -> (envelope, Errors.t) result
     mismatches are set aside for later receives, so multiplexed services on
     one ComMod never steal each other's traffic. *)
 
-val try_recv : t -> envelope option
-
 (** {1 DRTS coupling (§6.1)} *)
 
 val without_monitoring : t -> (unit -> 'a) -> 'a
@@ -116,7 +116,6 @@ val without_monitoring : t -> (unit -> 'a) -> 'a
     own traffic without "the obvious infinite recursion". *)
 
 val recursion_tracker : t -> Recursion.t
-val forwarding_entries : t -> int
 
 type stats = {
   st_sent : int;

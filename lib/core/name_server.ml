@@ -62,6 +62,7 @@ type t = {
   ping_timeout_us : int;
   forward_timeout_us : int; (* shard-forward deadline: short, so a dead
                                owner degrades to a fallback answer fast *)
+  lookups_key : string; (* "ns.shard<my shard>.lookups" *)
 }
 
 let create node ~server_id ~wk_addr ?(peers = []) ?shard_map () =
@@ -79,6 +80,8 @@ let create node ~server_id ~wk_addr ?(peers = []) ?shard_map () =
     running = false;
     ping_timeout_us = 400_000;
     forward_timeout_us = 600_000;
+    lookups_key =
+      Printf.sprintf "ns.shard%d.lookups" (match shard_map with Some _ -> server_id | None -> 0);
   }
 
 let obs t = Node.obs t.node
@@ -398,8 +401,7 @@ let handle_request t ?commod (req : Ns_proto.request) =
     | None -> Ns_proto.R_error "unknown-name")
   | Ns_proto.Lookup_v (name, hops) ->
     Ntcs_obs.Registry.incr (obs t) "ns.lookups";
-    Ntcs_obs.Registry.incr (obs t)
-      (Printf.sprintf "ns.shard%d.lookups" (my_shard t));
+    Ntcs_obs.Registry.incr (obs t) t.lookups_key;
     let local () =
       match find_by_name t name with
       | Some r ->

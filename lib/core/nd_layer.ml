@@ -33,7 +33,6 @@ type circuit = {
   mutable peer_order : Endian.order;
   mutable peer_listen : Phys_addr.t list;
   mutable c_open : bool;
-  outbound : bool;
   tx_text : span_text; (* nd.tx detail of the last frame sent *)
   rx_text : span_text; (* nd.rx detail of the last frame received *)
 }
@@ -101,8 +100,6 @@ let lookup_phys t addr = Hashtbl.find_opt t.phys_cache addr
 
 let cache_phys t addr phys =
   if phys <> [] && Addr.is_unique addr then Hashtbl.replace t.phys_cache addr phys
-
-let drop_cached_phys t addr = Hashtbl.remove t.phys_cache addr
 
 let find_circuit t addr =
   match Hashtbl.find_opt t.circuits addr with
@@ -286,68 +283,71 @@ let fresh_cid t =
   t.next_cid <- cid + 1;
   cid
 
+(* Why a handshake failed: the LVC itself broke, or what arrived on it is
+   refused. Both ends abort the LVC; the inbound end traces the reason, the
+   outbound end returns it. *)
+type refusal = Lvc_error of Ipcs_error.t | Refused of string
+
+(* Both ends of the channel-open protocol (§2.2) read the other end's HELLO
+   (inbound) or HELLO-ACK (outbound) the same way: validate it, key the
+   peer — §3.4: a TAdd peer gets our own alias, since its TAdd is not
+   unique to us — then build and register the circuit and feed the address
+   cache (§3.3). *)
+let await_hello t (lvc : Std_if.lvc) ~outbound =
+  let expect, wrong_kind =
+    if outbound then (Proto.Hello_ack, "expected HELLO-ACK")
+    else (Proto.Hello, "first frame was not HELLO")
+  in
+  let refuse r =
+    lvc.Std_if.abort ();
+    Error r
+  in
+  match lvc.Std_if.recv_msg ~timeout_us:t.node.Node.config.Node.default_timeout_us () with
+  | Error e -> refuse (Lvc_error e)
+  | Ok raw -> (
+    match Proto.decode_frame raw with
+    | exception (Proto.Bad_header m | Shift.Shift_error m) -> refuse (Refused m)
+    | h, _ when h.Proto.kind <> expect -> refuse (Refused wrong_kind)
+    | _, payload -> (
+      match Packed.run_unpack_result Proto.hello_codec payload with
+      | Error m -> refuse (Refused m)
+      | Ok hello ->
+        let peer_real = hello.Proto.h_addr in
+        let key = if Addr.is_temporary peer_real then fresh_alias t else peer_real in
+        let c =
+          {
+            cid = fresh_cid t;
+            lvc;
+            nd = t;
+            peer_addr = key;
+            peer_announced = peer_real;
+            peer_order = hello.Proto.h_order;
+            peer_listen = List.filter_map Phys_addr.of_string hello.Proto.h_listen;
+            c_open = true;
+            tx_text = span_text ();
+            rx_text = span_text ();
+          }
+        in
+        register_circuit t key c;
+        cache_phys t peer_real c.peer_listen;
+        Ok c))
+
 (* Inbound handshake: expect HELLO, answer HELLO-ACK, then become the
    circuit's reader. *)
 let inbound_handshake t (lvc : Std_if.lvc) =
-  let timeout = t.node.Node.config.Node.default_timeout_us in
-  match lvc.Std_if.recv_msg ~timeout_us:timeout () with
-  | Error e ->
-    lvc.Std_if.abort ();
-    trace t ~cat:"nd.handshake_fail" (Ipcs_error.to_string e)
-  | Ok raw -> (
-    match Proto.decode_frame raw with
-    | exception (Proto.Bad_header m | Shift.Shift_error m) ->
-      lvc.Std_if.abort ();
-      trace t ~cat:"nd.handshake_fail" m
-    | h, payload ->
-      if h.Proto.kind <> Proto.Hello then begin
-        lvc.Std_if.abort ();
-        trace t ~cat:"nd.handshake_fail" "first frame was not HELLO"
-      end
-      else begin
-        match Packed.run_unpack_result Proto.hello_codec payload with
-        | Error m ->
-          lvc.Std_if.abort ();
-          trace t ~cat:"nd.handshake_fail" m
-        | Ok hello ->
-          let peer_real = hello.Proto.h_addr in
-          let key =
-            if Addr.is_temporary peer_real then begin
-              (* §3.4: assign our own TAdd to an incoming connection from a
-                 TAdd source — theirs is not unique to us. *)
-              let alias = Addr.Tadd_gen.fresh t.tadds in
-              Ntcs_obs.Registry.incr (obs t) "tadd.assigned";
-              alias
-            end
-            else peer_real
-          in
-          let c =
-            {
-              cid = fresh_cid t;
-              lvc;
-              nd = t;
-              peer_addr = key;
-              peer_announced = peer_real;
-              peer_order = hello.Proto.h_order;
-              peer_listen = List.filter_map Phys_addr.of_string hello.Proto.h_listen;
-              c_open = true;
-              outbound = false;
-              tx_text = span_text ();
-              rx_text = span_text ();
-            }
-          in
-          register_circuit t key c;
-          cache_phys t peer_real c.peer_listen;
-          let ack_header =
-            Proto.make_header ~kind:Proto.Hello_ack ~src:t.my_addr ~dst:peer_real
-              ~src_order:(Node.my_order t.node) ~payload_len:0 ()
-          in
-          (match send_frame c ack_header (hello_payload t) with
-           | Ok () ->
-             trace t ~cat:"nd.accept" (Addr.to_string key);
-             reader_loop c
-           | Error _ -> close_circuit c)
-      end)
+  match await_hello t lvc ~outbound:false with
+  | Error (Lvc_error e) -> trace t ~cat:"nd.handshake_fail" (Ipcs_error.to_string e)
+  | Error (Refused m) -> trace t ~cat:"nd.handshake_fail" m
+  | Ok c -> (
+    let ack_header =
+      Proto.make_header ~kind:Proto.Hello_ack ~src:t.my_addr ~dst:c.peer_announced
+        ~src_order:(Node.my_order t.node) ~payload_len:0 ()
+    in
+    match send_frame c ack_header (hello_payload t) with
+    | Ok () ->
+      trace t ~cat:"nd.accept" (Addr.to_string c.peer_addr);
+      reader_loop c
+    | Error _ -> close_circuit c)
 
 let accept_loop t (acceptor : Std_if.acceptor) =
   let rec loop () =
@@ -365,91 +365,69 @@ let accept_loop t (acceptor : Std_if.acceptor) =
 (* Open an LVC to [phys], with retry on open (§2.2), and run the outbound
    handshake. Returns the circuit keyed by the peer's announced address. *)
 let open_circuit t ~(phys : Phys_addr.t) =
-  if t.closed then Error Errors.Circuit_failed
-  else begin
-    let cfg = t.node.Node.config in
-    (* Fixed-interval open-retry (§2.2), expressed as a capped policy so the
-       one retry mechanism serves here too: ceiling = base disables the
-       exponential growth, jitter 0 keeps the historical cadence. *)
-    let policy =
-      Retry.policy
-        ~max_attempts:(cfg.Node.lvc_open_retries + 1)
-        ~base_delay_us:cfg.Node.lvc_retry_delay_us
-        ~max_delay_us:cfg.Node.lvc_retry_delay_us ~jitter_us:0 ()
+  let cfg = t.node.Node.config in
+  (* Fixed-interval open-retry (§2.2), expressed as a capped policy so the
+     one retry mechanism serves here too: ceiling = base disables the
+     exponential growth, jitter 0 keeps the historical cadence. *)
+  let policy =
+    Retry.policy
+      ~max_attempts:(cfg.Node.lvc_open_retries + 1)
+      ~base_delay_us:cfg.Node.lvc_retry_delay_us
+      ~max_delay_us:cfg.Node.lvc_retry_delay_us ~jitter_us:0 ()
+  in
+  let connect ~attempt:_ =
+    match
+      Std_if.connect ?allowed:t.allowed_nets t.node.Node.ipcs
+        ~machine:(Node.machine t.node) ~dst:phys
+    with
+    | Ok lvc -> Ok lvc
+    | Error e -> Error (Errors.of_ipcs e)
+  in
+  match Retry.run (sched t) policy ~retryable:Errors.retryable connect with
+  | Error _ as e -> e
+  | Ok lvc -> (
+    let hello_header =
+      Proto.make_header ~kind:Proto.Hello ~src:t.my_addr
+        ~dst:(Addr.temporary ~assigner:0 ~value:0) ~src_order:(Node.my_order t.node)
+        ~payload_len:0 ()
     in
-    let connect ~attempt:_ =
-      match
-        Std_if.connect ?allowed:t.allowed_nets t.node.Node.ipcs
-          ~machine:(Node.machine t.node) ~dst:phys
-      with
-      | Ok lvc -> Ok lvc
-      | Error e -> Error (Errors.of_ipcs e)
+    match lvc.Std_if.send_msg (Proto.encode_frame hello_header (hello_payload t)) with
+    | Error e ->
+      lvc.Std_if.abort ();
+      Error (Errors.of_ipcs e)
+    | Ok () -> (
+      match await_hello t lvc ~outbound:true with
+      | Error (Lvc_error e) -> Error (Errors.of_ipcs e)
+      | Error (Refused m) -> Error (Errors.Bad_message m)
+      | Ok c ->
+        start_reader t c;
+        Node.event t.node ~actor:t.owner (Trace_event.Nd_open { peer = c.peer_addr; phys });
+        Ok c))
+
+(* The circuit to a neighbour: the open one if there is one — circuits are
+   shared, many IVCs multiplex over one LVC — otherwise the first candidate
+   physical address that answers the handshake. *)
+let circuit_to t addr ~phys_candidates =
+  match find_circuit t addr with
+  | Some c -> Ok c
+  | None ->
+    let rec try_phys = function
+      | [] -> Error Errors.Unreachable
+      | _ :: _ when t.closed -> Error Errors.Circuit_failed
+      | phys :: rest -> (
+        match open_circuit t ~phys with
+        | Ok c -> Ok c
+        | Error _ when rest <> [] -> try_phys rest
+        | Error _ as e -> e)
     in
-    match Retry.run (sched t) policy ~retryable:Errors.retryable connect with
-    | Error _ as e -> e
-    | Ok lvc -> (
-      let hello_header =
-        Proto.make_header ~kind:Proto.Hello ~src:t.my_addr
-          ~dst:(Addr.temporary ~assigner:0 ~value:0) ~src_order:(Node.my_order t.node)
-          ~payload_len:0 ()
-      in
-      let frame = Proto.encode_frame hello_header (hello_payload t) in
-      match lvc.Std_if.send_msg frame with
-      | Error e ->
-        lvc.Std_if.abort ();
-        Error (Errors.of_ipcs e)
-      | Ok () -> (
-        match lvc.Std_if.recv_msg ~timeout_us:cfg.Node.default_timeout_us () with
-        | Error e ->
-          lvc.Std_if.abort ();
-          Error (Errors.of_ipcs e)
-        | Ok raw -> (
-          match Proto.decode_frame raw with
-          | exception (Proto.Bad_header m | Shift.Shift_error m) ->
-            lvc.Std_if.abort ();
-            Error (Errors.Bad_message m)
-          | h, payload ->
-            if h.Proto.kind <> Proto.Hello_ack then begin
-              lvc.Std_if.abort ();
-              Error (Errors.Bad_message "expected HELLO-ACK")
-            end
-            else begin
-              match Packed.run_unpack_result Proto.hello_codec payload with
-              | Error m ->
-                lvc.Std_if.abort ();
-                Error (Errors.Bad_message m)
-              | Ok hello ->
-                let peer_real = hello.Proto.h_addr in
-                let key =
-                  if Addr.is_temporary peer_real then begin
-                    let alias = Addr.Tadd_gen.fresh t.tadds in
-                    Ntcs_obs.Registry.incr (obs t) "tadd.assigned";
-                    alias
-                  end
-                  else peer_real
-                in
-                let c =
-                  {
-                    cid = fresh_cid t;
-                    lvc;
-                    nd = t;
-                    peer_addr = key;
-                    peer_announced = peer_real;
-                    peer_order = hello.Proto.h_order;
-                    peer_listen = List.filter_map Phys_addr.of_string hello.Proto.h_listen;
-                    c_open = true;
-                    outbound = true;
-                    tx_text = span_text ();
-                    rx_text = span_text ();
-                  }
-                in
-                register_circuit t key c;
-                cache_phys t peer_real c.peer_listen;
-                start_reader t c;
-                Node.event t.node ~actor:t.owner (Trace_event.Nd_open { peer = key; phys });
-                Ok c
-            end)))
-  end
+    try_phys phys_candidates
+
+(* Every IVC_CLOSE and IVC_REJECT: a header carrying the leg's label, the
+   reason as payload, sent from the module that owns the circuit. Receivers
+   match these by label, never by [src]. *)
+let send_control (c : circuit) ~kind ~dst ~ivc reason =
+  let h = Proto.make_header ~kind ~src:c.nd.my_addr ~dst ~ivc ~payload_len:0 () in
+  ignore (send_frame c h (Packed.run_pack Proto.reason_codec reason))
 
 (* Create the ND-layer for a module: allocate one communication resource per
    address kind this machine (restricted to [allowed_nets]) can speak, and

@@ -32,7 +32,6 @@ type circuit = {
   mutable peer_order : Endian.order;
   mutable peer_listen : Phys_addr.t list;
   mutable c_open : bool;
-  outbound : bool;
   tx_text : span_text;  (** cached nd.tx span detail *)
   rx_text : span_text;  (** cached nd.rx span detail *)
 }
@@ -108,7 +107,6 @@ val note_alias_purged : t -> Addr.t -> Addr.t -> unit
 
 val lookup_phys : t -> Addr.t -> Phys_addr.t list option
 val cache_phys : t -> Addr.t -> Phys_addr.t list -> unit
-val drop_cached_phys : t -> Addr.t -> unit
 
 (** {1 Circuits} *)
 
@@ -117,9 +115,12 @@ val find_circuit : t -> Addr.t -> circuit option
 
 val resolve_alias : t -> Addr.t -> Addr.t
 
-val open_circuit : t -> phys:Phys_addr.t -> (circuit, Errors.t) result
-(** Open an LVC (with retry on open, §2.2) and run the HELLO handshake.
-    Returns the circuit keyed by the peer's announced address. Blocking. *)
+val circuit_to :
+  t -> Addr.t -> phys_candidates:Phys_addr.t list -> (circuit, Errors.t) result
+(** The open circuit to this neighbour if there is one (circuits are shared:
+    many IVCs multiplex over one LVC); otherwise open an LVC to each
+    candidate in turn (with retry on open, §2.2) and run the HELLO
+    handshake, keeping the first that answers. Blocking. *)
 
 val close_circuit : circuit -> unit
 (** Local close, no upward notification (the caller asked for it). *)
@@ -128,6 +129,11 @@ val send_frame : circuit -> Proto.header -> Bytes.t -> (unit, Errors.t) result
 (** Frame and transmit: one header blit + one payload blit into a pooled
     buffer, released once the STD-IF has consumed it. A failure marks the
     circuit broken. *)
+
+val send_control : circuit -> kind:Proto.kind -> dst:Addr.t -> ivc:int -> string -> unit
+(** Send an IVC control frame — IVC_CLOSE or IVC_REJECT — on leg label
+    [ivc] with [reason] as payload, from the module owning the circuit.
+    Receivers match by label; a failed send is the circuit's own failure. *)
 
 val forward_view : circuit -> Proto.Frame.t -> (unit, Errors.t) result
 (** Transmit a received frame as-is (headers already patched in place):

@@ -111,9 +111,5 @@ let my_order t = match Machine.byte_order t.machine.Machine.mtype with
   | Machine.Little_endian -> Ntcs_wire.Endian.Le
   | Machine.Big_endian -> Ntcs_wire.Endian.Be
 
-let name_server_wk t = List.find_opt (fun wk -> wk.wk_is_name_server) t.config.well_known
-
-let prime_gateways t = List.filter (fun wk -> wk.wk_is_gateway) t.config.well_known
-
 (* Networks this machine is attached to. *)
 let my_nets t = World.nets_of_machine t.world t.machine.Machine.id

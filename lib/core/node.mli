@@ -81,6 +81,4 @@ val event : t -> actor:string -> Ntcs_sim.Trace.event -> unit
 val my_order : t -> Ntcs_wire.Endian.order
 (** This machine's native byte order. *)
 
-val name_server_wk : t -> well_known option
-val prime_gateways : t -> well_known list
 val my_nets : t -> Net.id list

@@ -44,7 +44,3 @@ let max_depth t = t.max_depth
 let entries t = t.entries
 let recursive_entries t = t.recursive_entries
 
-let reset_counts t =
-  t.max_depth <- t.depth;
-  t.entries <- 0;
-  t.recursive_entries <- 0

@@ -26,9 +26,8 @@ val depth : t -> int
 val max_depth : t -> int
 
 val entries : t -> int
-(** Total entries since creation (or {!reset_counts}). *)
+(** Total entries since creation. *)
 
 val recursive_entries : t -> int
 (** Entries made while already inside the ComMod — the §6.1 measure. *)
 
-val reset_counts : t -> unit

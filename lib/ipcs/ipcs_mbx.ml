@@ -42,7 +42,6 @@ and chan = {
   c_net : Net.t;
   c_near : chan_end;
   c_far : chan_end;
-  c_path : string; (* the mailbox this channel belongs to *)
 }
 
 let create world = { world; mailboxes = Hashtbl.create 32; next_chan_id = 1 }
@@ -122,11 +121,11 @@ let open_chan ?(timeout_us = default_open_timeout_us) ?allowed t ~(machine : Mac
                 t.next_chan_id <- chan_id + 1;
                 let server_chan =
                   { chan_id; c_stack = t; c_net = net; c_near = server_end;
-                    c_far = client_end; c_path = path }
+                    c_far = client_end }
                 in
                 let client_chan =
                   { chan_id; c_stack = t; c_net = net; c_near = client_end;
-                    c_far = server_end; c_path = path }
+                    c_far = server_end }
                 in
                 ignore
                   (World.transmit t.world ~net ~src:mb.mb_machine ~dst:machine ~size:ctl_size
@@ -239,4 +238,3 @@ let abort (c : chan) =
          Sched.Mailbox.send c.c_far.ce_signal ()))
 
 let chan_id (c : chan) = c.chan_id
-let chan_path (c : chan) = c.c_path

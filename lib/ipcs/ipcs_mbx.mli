@@ -51,4 +51,3 @@ val close : chan -> unit
 val abort : chan -> unit
 val is_open : chan -> bool
 val chan_id : chan -> int
-val chan_path : chan -> string

@@ -18,7 +18,6 @@ type t = {
   world : World.t;
   listeners : (string * int, listener) Hashtbl.t;
   mutable next_conn_id : int;
-  mutable next_ephemeral : int;
 }
 
 and listener = {
@@ -49,11 +48,10 @@ and conn = {
   stack : t;
   near : endpoint;
   far : endpoint;
-  remote : Phys_addr.t; (* peer's listening address, as seen from [near] *)
 }
 
 let create world =
-  { world; listeners = Hashtbl.create 32; next_conn_id = 1; next_ephemeral = 30000 }
+  { world; listeners = Hashtbl.create 32; next_conn_id = 1 }
 
 let find_machine_by_host t host =
   List.find_opt (fun (m : Machine.t) -> m.name = host) (World.all_machines t.world)
@@ -92,11 +90,6 @@ let listen t ~(machine : Machine.t) ~port =
     World.record t.world ~cat:"tcp.listen" ~actor:machine.name (Printf.sprintf "port %d" port);
     Ok l
   end
-
-let ephemeral_port t =
-  let p = t.next_ephemeral in
-  t.next_ephemeral <- p + 1;
-  p
 
 let listener_addr (l : listener) = Phys_addr.tcp ~host:l.l_host ~port:l.l_port
 
@@ -141,13 +134,8 @@ let connect ?(timeout_us = default_connect_timeout_us) ?allowed t ~(machine : Ma
                 let far = make_endpoint t.world machine in
                 let conn_id = t.next_conn_id in
                 t.next_conn_id <- conn_id + 1;
-                let server_conn =
-                  { conn_id; net; stack = t; near; far;
-                    remote = Phys_addr.tcp ~host:machine.name ~port:(ephemeral_port t) }
-                in
-                let client_conn =
-                  { conn_id; net; stack = t; near = far; far = near; remote = dst }
-                in
+                let server_conn = { conn_id; net; stack = t; near; far } in
+                let client_conn = { conn_id; net; stack = t; near = far; far = near } in
                 let acked =
                   World.transmit t.world ~net ~src:dst_machine ~dst:machine ~size:syn_size
                     (fun () ->
@@ -308,6 +296,5 @@ let abort (c : conn) =
          c.far.broken <- true;
          Sched.Mailbox.send c.far.signal ()))
 
-let remote_addr (c : conn) = c.remote
 let conn_id (c : conn) = c.conn_id
 let conn_world (c : conn) = c.stack.world

@@ -21,6 +21,3 @@ val fresh_label : t -> int
     would negotiate per-channel label spaces; a global counter gives the
     same guarantee with none of the bookkeeping). *)
 
-val kinds_of_machine : t -> Ntcs_sim.Machine.t -> Phys_addr.kind list
-(** Which address kinds the machine can speak at all, from its network
-    attachments. *)

@@ -14,7 +14,6 @@ type byte_order = Little_endian | Big_endian
 
 val byte_order : mtype -> byte_order
 val mtype_to_string : mtype -> string
-val mtype_of_string : string -> mtype option
 
 val repr_compatible : mtype -> mtype -> bool
 (** Identical native data representation: image-mode byte copies are safe

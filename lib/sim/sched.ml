@@ -82,7 +82,6 @@ type t = {
   procs : (pid, proc) Hashtbl.t;
   mutable next_pid : int;
   mutable current : proc option;
-  mutable live_count : int;
   mutable event_count : int;
   mutable max_events : int; (* 0 = unlimited *)
   mutable exec_owner : int; (* owner of the event whose thunk is running *)
@@ -138,7 +137,6 @@ let create () =
     procs = Hashtbl.create 64;
     next_pid = 1;
     current = None;
-    live_count = 0;
     event_count = 0;
     max_events = 0;
     exec_owner = 0;
@@ -281,14 +279,11 @@ let current_exn t =
 
 let self t = (current_exn t).pid
 
-let self_name t = (current_exn t).proc_name
-
 (* Run [f] as the body of [proc] under the effect handler. Called from the
    scheduler loop, never from inside another process. *)
 let finish proc status =
   proc.state <- Dead;
   proc.exit_status <- Some status;
-  proc.sched.live_count <- proc.sched.live_count - 1;
   let hooks = proc.on_exit in
   proc.on_exit <- [];
   List.iter (fun h -> h status) hooks
@@ -382,7 +377,6 @@ let spawn ?(name = "proc") ?(at_time = -1) t f =
     }
   in
   Hashtbl.replace t.procs pid proc;
-  t.live_count <- t.live_count + 1;
   let start_time = if at_time < 0 then t.now else at_time in
   at_owned t ~owner:pid start_time (fun () ->
       match proc.state with
@@ -516,7 +510,6 @@ let run ?until t =
 
 let run_until_quiescent t = run t
 
-let live_processes t = t.live_count
 let events_executed t = t.event_count
 
 (* Diagnostic for quiescent-but-not-finished worlds: which processes are
@@ -557,8 +550,6 @@ module Ivar = struct
   let try_fill ivar v = match ivar.iv with
     | Full _ -> false
     | Empty _ -> fill ivar v; true
-
-  let is_filled ivar = match ivar.iv with Full _ -> true | Empty _ -> false
 
   let peek ivar = match ivar.iv with Full v -> Some v | Empty _ -> None
 

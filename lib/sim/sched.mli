@@ -168,8 +168,6 @@ val on_exit : t -> pid -> (exit_status -> unit) -> unit
 val self : t -> pid
 (** Pid of the currently running process. Fails outside a process. *)
 
-val self_name : t -> string
-
 (** {1 Blocking (inside a process only)} *)
 
 val suspend : (waker -> unit) -> unit
@@ -193,7 +191,6 @@ val run : ?until:int -> t -> unit
     advances to exactly [until]). *)
 
 val run_until_quiescent : t -> unit
-val live_processes : t -> int
 val events_executed : t -> int
 
 val blocked_processes : t -> string list
@@ -216,7 +213,6 @@ module Ivar : sig
   (** Raises [Invalid_argument] when already filled. *)
 
   val try_fill : 'a ivar -> 'a -> bool
-  val is_filled : 'a ivar -> bool
   val peek : 'a ivar -> 'a option
 
   val read : ?timeout:int -> 'a ivar -> 'a option

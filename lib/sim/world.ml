@@ -38,7 +38,6 @@ module Config = struct
     sanitize : bool; (* arm the pool sanitizer (PR 6) *)
     races : bool; (* request the race checker; armed by Ntcs_check *)
     chooser : chooser;
-    event_limit : int; (* 0 = unlimited *)
     naming : naming; (* naming-plane shape, consumed by Cluster.build *)
   }
 
@@ -50,7 +49,6 @@ module Config = struct
       sanitize = false;
       races = false;
       chooser = Default;
-      event_limit = 0;
       naming = default_naming;
     }
 
@@ -134,9 +132,6 @@ let mode t = Config.mode t.config
 let choice_log t = List.rev t.choices
 let set_label t l = Sched.set_label t.sched l
 let label t = Sched.label t.sched
-let cell_topology t = t.c_topology
-let cell_procs t = t.c_procs
-let cell_faults t = t.c_faults
 let trace t = t.trace
 let rng t = t.rng
 let pool t = t.pool
@@ -174,17 +169,9 @@ let machine t id =
   Sched.access t.sched t.c_topology ~write:false;
   Hashtbl.find t.machines id
 
-let machine_opt t id =
-  Sched.access t.sched t.c_topology ~write:false;
-  Hashtbl.find_opt t.machines id
-
 let net t id =
   Sched.access t.sched t.c_topology ~write:false;
   Hashtbl.find t.nets id
-
-let net_opt t id =
-  Sched.access t.sched t.c_topology ~write:false;
-  Hashtbl.find_opt t.nets id
 
 let attach t (m : Machine.t) (n : Net.t) =
   Sched.access t.sched t.c_topology ~write:true;
@@ -198,12 +185,6 @@ let nets_of_machine t mid =
   Sched.access t.sched t.c_topology ~write:false;
   Ntcs_util.sorted_bindings t.attachments
   |> List.filter_map (fun ((m, n), ()) -> if m = mid then Some n else None)
-  |> List.sort_uniq compare
-
-let machines_on t nid =
-  Sched.access t.sched t.c_topology ~write:false;
-  Ntcs_util.sorted_bindings t.attachments
-  |> List.filter_map (fun ((m, n), ()) -> if n = nid then Some m else None)
   |> List.sort_uniq compare
 
 let common_nets t m1 m2 =
@@ -230,10 +211,6 @@ let spawn t ~machine:(m : Machine.t) ~name f =
           (Printexc.to_string e)
       | Sched.Exited | Sched.Was_killed -> ());
   pid
-
-let machine_of_proc t pid =
-  Sched.access t.sched t.c_procs ~write:false;
-  Hashtbl.find_opt t.proc_machine pid
 
 let procs_on_machine t mid =
   Sched.access t.sched t.c_procs ~write:false;
@@ -370,15 +347,12 @@ let apply_chooser t =
            i))
 
 (* The single construction entrypoint: build the record, then apply every
-   configured feature in one fixed order (limit, chooser, sanitizer,
-   faults) so callers can no longer sequence the old per-feature arms
-   wrongly. [races] is carried, not armed, here — the race checker lives
+   configured feature in one fixed order (chooser, sanitizer, faults) so
+   callers can no longer sequence the old per-feature arms wrongly. [races] is carried, not armed, here — the race checker lives
    in Ntcs_check (above this library); it arms itself on any world whose
    [mode] asks for it. *)
 let create ?(config = Config.default) () =
   let t = make config in
-  if config.Config.event_limit > 0 then
-    Sched.set_event_limit t.sched config.Config.event_limit;
   apply_chooser t;
   if config.Config.sanitize then arm_pool_sanitizer t;
   (match config.Config.faults with
@@ -503,8 +477,7 @@ module Par = struct
      outruns any current workload by ~3 orders of magnitude. *)
   let circuit_stride = 1_000_000
 
-  let create ?(quantum = 1_000) ?(namespace_circuits = true) ?shard_config
-      (config : Config.t) =
+  let create ?(quantum = 1_000) ?shard_config (config : Config.t) =
     let n = max 1 config.Config.domains in
     (* [shard_config] overrides the derived per-shard config — the replay
        path needs it to feed shard i its own recorded choice log — but a
@@ -518,8 +491,7 @@ module Par = struct
       Array.init n (fun i ->
           let w = create ~config:(config_of i) () in
           Sched.set_label w.sched (Printf.sprintf "s%d" i);
-          if namespace_circuits && n > 1 then
-            Ntcs_obs.Registry.set_circuit_base w.obs (i * circuit_stride);
+          if n > 1 then Ntcs_obs.Registry.set_circuit_base w.obs (i * circuit_stride);
           w)
     in
     let barrier = Barrier.create ~quantum (Array.map (fun w -> w.sched) shards) in

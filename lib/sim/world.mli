@@ -50,14 +50,12 @@ module Config : sig
             by this library — [Ntcs_check.Check_race.arm] lives above it
             and arms itself on any world whose {!val-mode} asks for it *)
     chooser : chooser;
-    event_limit : int;  (** abort backstop; 0 = unlimited *)
     naming : naming;  (** naming-plane shape (see {!type-naming}) *)
   }
 
   val default : t
   (** [{seed = 42; domains = 1; faults = None; sanitize = false;
-      races = false; chooser = Default; event_limit = 0;
-      naming = default_naming}] *)
+      races = false; chooser = Default; naming = default_naming}] *)
 
   val mode : t -> Sched.Mode.t
   (** The scheduler-instrumentation view of this config. *)
@@ -129,13 +127,10 @@ val add_machine :
 
 val add_net : t -> name:string -> Net.kind -> ?latency:int * int * int -> unit -> Net.t
 val machine : t -> Machine.id -> Machine.t
-val machine_opt : t -> Machine.id -> Machine.t option
 val net : t -> Net.id -> Net.t
-val net_opt : t -> Net.id -> Net.t option
 val attach : t -> Machine.t -> Net.t -> unit
 val attached : t -> Machine.id -> Net.id -> bool
 val nets_of_machine : t -> Machine.id -> Net.id list
-val machines_on : t -> Net.id -> Machine.id list
 val common_nets : t -> Machine.id -> Machine.id -> Net.id list
 val all_machines : t -> Machine.t list
 val all_nets : t -> Net.t list
@@ -146,7 +141,6 @@ val spawn : t -> machine:Machine.t -> name:string -> (unit -> unit) -> Sched.pid
 (** Spawn a process on a machine; crashes are recorded in the trace
     (category ["sim.proc_crash"]). *)
 
-val machine_of_proc : t -> Sched.pid -> Machine.id option
 val procs_on_machine : t -> Machine.id -> Sched.pid list
 
 val crash_machine : t -> Machine.t -> unit
@@ -161,15 +155,11 @@ val faults : t -> Faults.t option
 
 (** {1 Shared cells}
 
-    The world's own mutable state, declared as {!Sched.cell}s for the
+    The world's own mutable state is declared as {!Sched.cell}s for the
     domain-safety monitor (see [Ntcs_check.Check_race]): the topology
     tables ([world.topology], exclusive), the pid→machine map
     ([world.procs], waived) and the fault plane's partition set + rng
     ([world.faults], waived). Enumerate them with [Sched.cells (sched t)]. *)
-
-val cell_topology : t -> Sched.cell
-val cell_procs : t -> Sched.cell
-val cell_faults : t -> Sched.cell
 
 (** {1 Pool sanitizer}
 
@@ -225,15 +215,14 @@ module Par : sig
 
   val create :
     ?quantum:int ->
-    ?namespace_circuits:bool ->
     ?shard_config:(int -> Config.t) ->
     Config.t ->
     t
   (** Build [max 1 config.domains] shard worlds coupled by a barrier with
       the given conservative quantum (virtual µs, default 1000 — every
       cross-shard channel must have latency ≥ quantum).
-      [namespace_circuits] (default true) offsets shard [i]'s circuit-id
-      allocator by [i * 1_000_000] so merged span logs stay world-unique.
+      Shard [i]'s circuit-id allocator is offset by [i * 1_000_000] so
+      merged span logs stay world-unique.
       [shard_config] overrides the derived per-shard config (shard [i]
       runs under [shard_config i] with [domains] forced back to 1) — the
       replay path uses it to hand shard [i] its own recorded choice log
@@ -269,7 +258,7 @@ module Par : sig
 
   val merged_spans : t -> Ntcs_obs.Span.event list
   (** All shards' span logs merged (stable on virtual time); circuit ids
-      are world-unique when [namespace_circuits] is on, so
+      are world-unique, so
       [Ntcs_check.Check_spans.check] consumes this directly. *)
 
   val blocked_processes : t -> string list

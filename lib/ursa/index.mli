@@ -14,7 +14,6 @@ val postings : t -> string -> posting list
 
 val document_frequency : t -> string -> int
 val doc_count : t -> int
-val term_count : t -> int
 
 val tf_idf : tf:int -> df:int -> n_docs:int -> float
 (** Score contribution of one posting given corpus-wide statistics

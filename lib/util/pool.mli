@@ -61,8 +61,6 @@ val set_sanitize : t -> bool -> unit
     freelists so their next hand-out verifies cleanly; disarming drops the
     outstanding-buffer tracking. *)
 
-val sanitizing : t -> bool
-
 val set_emit : t -> (cat:string -> detail:string -> unit) -> unit
 (** Install the violation emitter — typically the world's trace, so each
     violation becomes a deterministic [pool.sanitizer.*] trace event. *)

@@ -37,9 +37,6 @@ type payload = {
 
 let payload ~image ~packed = { p_image = image; p_packed = packed }
 
-let payload_packed_only ~packed =
-  { p_image = (fun () -> packed ()); p_packed = packed }
-
 (* Raw payloads (already bytes, no structure): both modes are the identity,
    so they are safe between any machines. *)
 let payload_raw data = { p_image = (fun () -> data); p_packed = (fun () -> data) }

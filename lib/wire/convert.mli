@@ -32,9 +32,6 @@ val payload : image:(unit -> Bytes.t) -> packed:(unit -> Bytes.t) -> payload
 (** [image] must produce the contiguous native memory image on the source
     machine; [packed] the application's transport format. *)
 
-val payload_packed_only : packed:(unit -> Bytes.t) -> payload
-(** For data that only exists in transport format (control messages). *)
-
 val payload_raw : Bytes.t -> payload
 (** Raw bytes: both modes are the identity, safe between any machines. *)
 

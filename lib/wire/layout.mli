@@ -42,5 +42,4 @@ val decode : order:Endian.order -> t -> Bytes.t -> value list
 (** Reinterpret a memory image. Raises {!Layout_error} only when the byte
     count does not match the layout. *)
 
-val pp_value : Format.formatter -> value -> unit
 val value_equal : value -> value -> bool

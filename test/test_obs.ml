@@ -100,6 +100,41 @@ let test_healthy_run_span_invariants () =
       (String.concat "; "
          (List.map (fun v -> Format.asprintf "%a" Check_invariants.pp_violation v) vs))
 
+(* An owner that dies with its module open closes every circuit span as
+   [crashed] (DESIGN.md §10): [die] ends the owner after one synchronous
+   call, either by raising or by its machine crashing while it sleeps. *)
+let crashed_owner_spans ~die =
+  let c = Helpers.lan_cluster () in
+  Cluster.settle c;
+  Helpers.spawn_echo c ~machine:"sun1" ~name:"svc";
+  Cluster.settle c;
+  ignore
+    (Cluster.spawn c ~machine:"sun2" ~name:"doomed" (fun node ->
+         let commod = Helpers.bind_exn node ~name:"doomed" in
+         let addr = Helpers.check_ok "locate" (Ali_layer.locate commod "svc") in
+         ignore (Helpers.check_ok "call" (Ali_layer.send_sync commod ~dst:addr (Helpers.raw "x")));
+         match die with
+         | `Raise -> failwith "owner raised"
+         | `Machine_crash -> Ntcs_sim.Sched.sleep (Node.sched node) 60_000_000));
+  Cluster.settle c;
+  (match die with `Raise -> () | `Machine_crash -> Cluster.crash c "sun2");
+  Cluster.settle c;
+  let ends =
+    List.filter_map
+      (fun (e : Span.event) ->
+        if e.Span.ev_name = "lcm.circuit" && e.Span.ev_phase = Span.E
+           && e.Span.ev_actor = "doomed"
+        then Some e.Span.ev_detail
+        else None)
+      (Registry.spans (Cluster.obs c))
+  in
+  Alcotest.(check bool) "the owner had circuits" true (ends <> []);
+  Alcotest.(check (list string)) "every circuit span reads crashed"
+    (List.map (fun _ -> "crashed") ends) ends
+
+let test_owner_raises_spans_crashed () = crashed_owner_spans ~die:`Raise
+let test_machine_crash_spans_crashed () = crashed_owner_spans ~die:`Machine_crash
+
 let test_exports_deterministic () =
   let r1 = run_world 777 in
   let r2 = run_world 777 in
@@ -155,6 +190,10 @@ let () =
         Alcotest.test_case "registry sees every layer" `Quick test_registry_sees_layers;
         Alcotest.test_case "healthy-run span invariants" `Quick
           test_healthy_run_span_invariants;
+        Alcotest.test_case "owner raises: circuit spans crashed" `Quick
+          test_owner_raises_spans_crashed;
+        Alcotest.test_case "machine crash: circuit spans crashed" `Quick
+          test_machine_crash_spans_crashed;
       ]);
       ("export", [
         Alcotest.test_case "equal seeds, identical bytes" `Quick test_exports_deterministic;

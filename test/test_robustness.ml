@@ -198,6 +198,137 @@ let test_reply_to_dead_conversation () =
   Alcotest.(check bool) "orphan reply counted" true
     (Ntcs_obs.Registry.get (Cluster.obs c) "lcm.orphan_replies" >= 1)
 
+(* --- circuit establishment: the channel-open and IVC-open refusals --- *)
+
+(* A module bound on [machine] that stays up; the cell holds its listening
+   addresses and UAdd once it has registered. *)
+let spawn_bound c ~machine ~name =
+  let cell = ref None in
+  ignore
+    (Cluster.spawn c ~machine ~name (fun node ->
+         let commod = bind_exn node ~name in
+         cell := Some (Nd_layer.my_listen_addrs (Commod.nd commod), Commod.my_addr commod);
+         let rec loop () =
+           ignore (Ali_layer.receive commod);
+           loop ()
+         in
+         loop ()));
+  fun () ->
+    match !cell with Some v -> v | None -> Alcotest.failf "%s never bound" name
+
+let test_hello_answered_without_ack () =
+  (* A listener answers HELLO with a well-formed frame that is not
+     HELLO-ACK: the open fails as a bad message and the opener aborts the
+     LVC, so the listener's next read on it fails. *)
+  let c = lan_cluster () in
+  Cluster.settle c;
+  let listen = ref None and after_answer = ref None in
+  ignore
+    (Cluster.spawn c ~machine:"sun1" ~name:"imposter" (fun node ->
+         match Std_if.listen_tcp node.Node.ipcs ~machine:(Node.machine node) with
+         | Error _ -> Alcotest.fail "imposter listen failed"
+         | Ok acc -> (
+           listen := Some acc.Std_if.acc_addr;
+           match acc.Std_if.accept () with
+           | Error _ -> Alcotest.fail "imposter accept failed"
+           | Ok lvc ->
+             ignore (lvc.Std_if.recv_msg ());
+             let answer =
+               Proto.make_header ~kind:Proto.Pong ~src:(Addr.unique ~server_id:1 ~value:4242)
+                 ~dst:(Addr.temporary ~assigner:0 ~value:0) ~payload_len:0 ()
+             in
+             ignore (lvc.Std_if.send_msg (Proto.encode_frame answer Bytes.empty));
+             after_answer := Some (lvc.Std_if.recv_msg ()))));
+  Cluster.settle c;
+  let opened =
+    in_process c ~machine:"sun2" ~name:"opener" (fun node ->
+        let commod = bind_exn node ~name:"opener" in
+        match !listen with
+        | None -> Alcotest.fail "imposter never listened"
+        | Some phys ->
+          Nd_layer.circuit_to (Commod.nd commod) (Addr.unique ~server_id:1 ~value:4242)
+            ~phys_candidates:[ phys ])
+  in
+  Cluster.settle ~dt:10_000_000 c;
+  (match opened () with
+   | Error (Errors.Bad_message m) -> Alcotest.(check string) "refusal" "expected HELLO-ACK" m
+   | Error e -> Alcotest.failf "unexpected error %s" (Errors.to_string e)
+   | Ok _ -> Alcotest.fail "a non-ACK answer opened a circuit");
+  (match !after_answer with
+   | Some (Error _) -> ()
+   | Some (Ok _) -> Alcotest.fail "the opener kept the refused LVC open"
+   | None -> Alcotest.fail "the LVC was left open: the listener's read never returned");
+  Alcotest.(check int) "no crashes" 0 (List.length (no_crashes c))
+
+let test_first_frame_not_hello () =
+  (* A well-formed frame arriving before any HELLO is refused by the
+     inbound handshake, with its reason traced. *)
+  let c = lan_cluster () in
+  Cluster.settle c;
+  let svc = spawn_bound c ~machine:"sun1" ~name:"svc" in
+  Cluster.settle c;
+  ignore
+    (Cluster.spawn c ~machine:"sun2" ~name:"intruder" (fun node ->
+         match svc () with
+         | [], _ -> Alcotest.fail "svc has no listening address"
+         | phys :: _, svc_addr -> (
+           match Std_if.connect node.Node.ipcs ~machine:(Node.machine node) ~dst:phys with
+           | Error _ -> Alcotest.fail "intruder connect failed"
+           | Ok lvc ->
+             let h =
+               Proto.make_header ~kind:Proto.Data ~src:(Addr.unique ~server_id:1 ~value:4242)
+                 ~dst:svc_addr ~payload_len:0 ()
+             in
+             ignore (lvc.Std_if.send_msg (Proto.encode_frame h (Bytes.of_string "early"))))));
+  Cluster.settle c;
+  let fails =
+    Ntcs_sim.Trace.matching (Ntcs_sim.World.trace (Cluster.world c)) ~cat:"nd.handshake_fail"
+  in
+  Alcotest.(check (list string)) "refusal traced" [ "first frame was not HELLO" ]
+    (List.map Ntcs_sim.Trace.detail fails);
+  Alcotest.(check int) "no crashes" 0 (List.length (no_crashes c))
+
+let test_ivc_open_through_non_gateway () =
+  (* An IVC_OPEN whose route names a module that is not a gateway: that
+     module answers IVC_REJECT "not a gateway", and the origin's open
+     fails. *)
+  let c = lan_cluster () in
+  Cluster.settle c;
+  let hop = spawn_bound c ~machine:"sun1" ~name:"not-a-gw" in
+  Cluster.settle c;
+  let rejects = ref [] in
+  let opened =
+    in_process c ~machine:"sun2" ~name:"origin" (fun node ->
+        let commod = bind_exn node ~name:"origin" in
+        let hop_phys, hop_addr = hop () in
+        let ip = Commod.ip commod and nd = Commod.nd commod in
+        Ip_layer.set_plan_oracle ip (fun _ ->
+            Ok [ Ip_layer.T_via { hops = [ hop_addr ]; first_phys = hop_phys } ]);
+        let up = nd.Nd_layer.deliver in
+        Nd_layer.set_deliver nd (fun ev ->
+            (match ev with
+             | Nd_layer.Frame (_, v)
+               when (Proto.Frame.header v).Proto.kind = Proto.Ivc_reject ->
+               rejects :=
+                 Ntcs_wire.Packed.run_unpack Proto.reason_codec (Proto.Frame.payload_bytes v)
+                 :: !rejects
+             | Nd_layer.Frame _ | Nd_layer.Circuit_down _ -> ());
+            up ev);
+        Ip_layer.open_ivc ip ~dst:(Addr.unique ~server_id:1 ~value:4242))
+  in
+  Cluster.settle ~dt:10_000_000 c;
+  (match opened () with
+   | Error Errors.Unreachable -> ()
+   | Error e -> Alcotest.failf "unexpected error %s" (Errors.to_string e)
+   | Ok _ -> Alcotest.fail "an IVC opened through a module that is not a gateway");
+  Alcotest.(check (list string)) "reject reason" [ "not a gateway" ] !rejects;
+  let traced =
+    Ntcs_sim.Trace.matching (Ntcs_sim.World.trace (Cluster.world c)) ~cat:"ip.ivc_reject"
+  in
+  Alcotest.(check (list string)) "reject traced by the origin" [ "origin" ]
+    (List.map (fun e -> e.Ntcs_sim.Trace.actor) traced);
+  Alcotest.(check int) "no crashes" 0 (List.length (no_crashes c))
+
 let () =
   Alcotest.run "robustness"
     [
@@ -212,5 +343,12 @@ let () =
           Alcotest.test_case "gateway circuit key stable" `Quick
             test_gateway_circuit_key_stable_under_chained_traffic;
           Alcotest.test_case "reply after timeout" `Quick test_reply_to_dead_conversation;
+        ] );
+      ( "establishment",
+        [
+          Alcotest.test_case "HELLO answered without ACK" `Quick test_hello_answered_without_ack;
+          Alcotest.test_case "first frame not HELLO" `Quick test_first_frame_not_hello;
+          Alcotest.test_case "IVC_OPEN through a non-gateway" `Quick
+            test_ivc_open_through_non_gateway;
         ] );
     ]
